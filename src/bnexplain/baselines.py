@@ -14,17 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import infer
-from .infer import query
+from .infer import ExplanationTables, Factor, explanation_tables, query, sum_to
 from .model import Assignment, Network
 from .search import ScoredExplanation
 
-# Sort keys round scores so that ties which are exact in real arithmetic
-# survive elimination round-off.
+# Sort keys round scores to this many significant digits, so that ties which
+# are exact in real arithmetic survive round-off while tiny joints and
+# likelihoods still rank by size.
 _KEY_DECIMALS = 10
 
 
 def _r(x: float) -> float:
-    return round(x, _KEY_DECIMALS)
+    return float(f"{x:.{_KEY_DECIMALS - 1}e}")
 
 
 @dataclass(frozen=True)
@@ -50,28 +51,36 @@ class BaselineParams:
 # K-MAP
 
 def k_map(network: Network, evidence: Assignment, k: int = 3) -> list[ScoredExplanation]:
-    """Top-k full target configurations by joint probability with the evidence.
+    """Top-k full configurations of the unobserved targets by joint
+    probability with the evidence.
 
     Reported score is the joint P(x, e). Ties break by higher prior, then by
     enumeration order (targets in declared order, rightmost fastest).
     """
-    targets = network.targets
-    if not targets:
-        raise ValueError("network has no target variables")
-    evidence = dict(evidence)
-    rows = []
-    for i, states in enumerate(itertools.product(*(network.states(v) for v in targets))):
-        ev = dict(zip(targets, states))
-        prior = query(network, (), ev).item()
-        joint = query(network, (), {**ev, **evidence}).item()
-        rows.append(ScoredExplanation(bindings=tuple(zip(targets, states)),
-                                      kind="joint", value=joint, prior=prior, order=i))
-    rows.sort(key=lambda r: (-_r(r.value), -_r(r.prior), r.order))
-    return rows[:k]
+    return _k_map(network, explanation_tables(network, evidence), k)
+
+
+def _k_map(network: Network, tables: ExplanationTables, k: int) -> list[ScoredExplanation]:
+    targets = tables.targets
+    joints = tables.joint.values.ravel().tolist()
+    priors = tables.prior.values.ravel().tolist()
+    top = sorted(range(len(joints)), key=lambda i: (-_r(joints[i]), -_r(priors[i]), i))[:k]
+    configs = list(itertools.product(*(network.states(v) for v in targets)))
+    return [ScoredExplanation(bindings=tuple(zip(targets, configs[i])), kind="joint",
+                              value=joints[i], prior=priors[i], order=i)
+            for i in top]
 
 
 # ---------------------------------------------------------------------------
 # K-SIMP
+
+def _likelihood(network: Network, tables: ExplanationTables, x: Assignment) -> float:
+    """P(e | x) as P(x, e) / P(x), read from the tables."""
+    px = float(sum_to(network, tables.prior, at=x))
+    if px <= 0.0:
+        raise ValueError(f"conditioning assignment {dict(x)} has probability 0")
+    return float(sum_to(network, tables.joint, at=x)) / px
+
 
 def k_simp(network: Network, evidence: Assignment,
            params: BaselineParams = BaselineParams()) -> list[ScoredExplanation]:
@@ -84,20 +93,20 @@ def k_simp(network: Network, evidence: Assignment,
     latest-declared variable). Identical results are deduplicated; output is
     ranked by likelihood, then by fewer variables.
     """
-    evidence = dict(evidence)
-    maps = k_map(network, evidence, params.k)
+    tables = explanation_tables(network, evidence)
+    maps = _k_map(network, tables, params.k)
     declared = {name: i for i, name in enumerate(network.names())}
 
     results = []
     for m in maps:
         cur = m.assignment()
-        like = infer.likelihood(network, evidence, cur)
+        like = _likelihood(network, tables, cur)
         bound = (1.0 - params.simplify_factor) * like
         while len(cur) > 1:
             best = None
             for v in cur:
                 trial = {u: s for u, s in cur.items() if u != v}
-                lt = infer.likelihood(network, evidence, trial)
+                lt = _likelihood(network, tables, trial)
                 if lt >= bound:
                     key = (_r(lt), declared[v])
                     if best is None or key > best[0]:
@@ -145,7 +154,7 @@ def _entropy(values: np.ndarray) -> float:
 
 def explanation_tree(network: Network, evidence: Assignment,
                      params: BaselineParams = BaselineParams()) -> TreeNode | None:
-    """Explanation tree over the target variables.
+    """Explanation tree over the unobserved target variables.
 
     At each node the unused target with the highest criterion is installed:
     the MAXIMUM over the other unused targets of pairwise mutual information
@@ -156,24 +165,26 @@ def explanation_tree(network: Network, evidence: Assignment,
     expand. The root is always installed; deeper nodes require the criterion
     to reach mi_threshold and the branch to have conditional mass above
     branch_floor. Branch labels are P(branch | e).
+
+    Everything but the last-level criterion is a slice of P(T, e).
     """
-    evidence = dict(evidence)
     evidence_vars = tuple(sorted(evidence))
-    pe = query(network, (), evidence).item()
-    if pe <= 0.0:
-        raise infer.ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
+    tables = explanation_tables(network, evidence)
+
+    def joint(branch, keep=()):
+        return sum_to(network, tables.joint, keep, branch)
 
     def pick(unused, branch):
-        ctx = {**branch, **evidence}
+        pair_mi = {pair: infer.table_mutual_information(joint(branch, pair))
+                   for pair in itertools.combinations(sorted(unused), 2)}
         ranked = []
         for v in sorted(unused):
             others = [u for u in unused if u != v]
             if others:
-                crit = max(infer.pairwise_mutual_information(network, v, u, ctx)
-                           for u in others)
+                crit = max(pair_mi[tuple(sorted((v, u)))] for u in others)
             else:
                 crit = infer.set_mutual_information(network, v, evidence_vars, branch)
-            ent = _entropy(query(network, (v,), ctx).values)
+            ent = _entropy(joint(branch, (v,)))
             ranked.append((-crit, -ent, v))
         ranked.sort()
         _, _, best = ranked[0]
@@ -183,7 +194,7 @@ def explanation_tree(network: Network, evidence: Assignment,
         if not unused:
             return None
         if not root:
-            pbe = query(network, (), {**branch, **evidence}).item() / pe
+            pbe = float(joint(branch)) / tables.pe
             if pbe <= params.branch_floor:
                 return None
         best, crit = pick(unused, branch)
@@ -193,12 +204,64 @@ def explanation_tree(network: Network, evidence: Assignment,
         branches = []
         for s in network.states(best):
             nb = {**branch, best: s}
-            label = query(network, (), {**nb, **evidence}).item() / pe
+            label = float(joint(nb)) / tables.pe
             branches.append(TreeBranch(state=s, label=label,
                                        child=expand(nb, rest, False)))
         return TreeNode(var=best, criterion=crit, branches=tuple(branches))
 
-    return expand({}, list(network.targets), True)
+    try:
+        return expand({}, list(tables.targets), True)
+    finally:
+        del expand  # the recursive closure is a cycle; free the tables now, not at GC
+
+
+class _CausalFlows:
+    """Causal flow of the variables of `joint` at branches over the others.
+
+    `joint` holds P(scope, e). The outcome table of each intervention
+    (variable, state) is computed once, on the mutilated network, over the
+    other scope variables plus the evidence variables, and sliced by branch.
+    """
+
+    def __init__(self, network: Network, joint: Factor, evidence_vars: tuple[str, ...]):
+        self.network = network
+        self.joint = joint
+        self.evidence_vars = evidence_vars
+        self._outcomes: dict[tuple[str, str], Factor] = {}
+
+    def _outcome(self, var: str, state: str) -> Factor:
+        key = (var, state)
+        if key not in self._outcomes:
+            others = tuple(v for v in self.joint.scope if v != var)
+            mnet = infer.mutilate(self.network, {var: state})
+            self._outcomes[key] = query(mnet, others + self.evidence_vars)
+        return self._outcomes[key]
+
+    def flow(self, var: str, branch: Assignment) -> float:
+        net = self.network
+        w = sum_to(net, self.joint, (var,), branch)
+        z = w.sum()
+        if z == 0.0:
+            return 0.0
+        w = (w / z).tolist()
+        dists = {}
+        for i, state in enumerate(net.states(var)):
+            if w[i] == 0.0:
+                continue
+            d = sum_to(net, self._outcome(var, state), self.evidence_vars, branch).ravel()
+            pc = d.sum()
+            if pc == 0.0:
+                continue  # intervention makes the branch impossible
+            dists[i] = d / pc
+        if not dists:
+            return 0.0
+        mix = sum(w[i] * d for i, d in dists.items())
+        flow = 0.0
+        for i, d in dists.items():
+            mask = d > 0
+            p, q = d[mask], mix[mask]
+            flow += w[i] * float(((p - q) * np.log(p / q)).sum())
+        return max(0.0, flow)
 
 
 def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
@@ -211,68 +274,49 @@ def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
     divergence is the symmetrized KL of each outcome distribution against
     the weighted mixture, restricted to each intervention's support.
     """
-    w = query(network, (var,), {**branch, **evidence}).values.astype(float)
-    z = w.sum()
-    if z == 0.0:
-        return 0.0
-    w = w / z
-    dists = {}
-    for i, state in enumerate(network.states(var)):
-        if w[i] == 0.0:
-            continue
-        mnet = infer.mutilate(network, {var: state})
-        f = query(mnet, evidence_vars, dict(branch))
-        pc = f.values.sum()
-        if pc == 0.0:
-            continue  # intervention makes the branch impossible
-        dists[i] = f.values.ravel() / pc
-    if not dists:
-        return 0.0
-    mix = sum(w[i] * d for i, d in dists.items())
-    flow = 0.0
-    for i, d in dists.items():
-        mask = d > 0
-        p, q = d[mask], mix[mask]
-        flow += w[i] * float(((p - q) * np.log(p / q)).sum())
-    return max(0.0, flow)
+    joint = query(network, (var, *branch), evidence)
+    return _CausalFlows(network, joint, tuple(evidence_vars)).flow(var, branch)
 
 
 def causal_explanation_tree(network: Network, evidence: Assignment,
                             params: BaselineParams = BaselineParams()) -> TreeNode | None:
-    """Causal explanation tree: nodes picked by maximum causal flow.
+    """Causal explanation tree over the unobserved targets: nodes picked by
+    maximum causal flow.
 
     The root is always installed; deeper nodes require flow_threshold.
     Branch labels are ln P(e|branch) - ln P(e); impossible branches get
     label -inf and become leaves.
     """
-    evidence = dict(evidence)
-    evidence_vars = tuple(sorted(evidence))
-    pe = query(network, (), evidence).item()
-    if pe <= 0.0:
-        raise infer.ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
+    tables = explanation_tables(network, evidence)
+    flows = _CausalFlows(network, tables.joint, tuple(sorted(evidence)))
+
+    def mass(table, branch):
+        return float(sum_to(network, table, at=branch))
 
     def expand(branch, unused, root):
         if not unused:
             return None
-        if query(network, (), {**branch, **evidence}).item() == 0.0:
+        if mass(tables.joint, branch) == 0.0:
             return None
-        flows = {v: causal_flow(network, v, evidence_vars, branch, evidence)
-                 for v in sorted(unused)}
-        best = min(flows, key=lambda v: (-flows[v], v))
-        if not root and flows[best] < params.flow_threshold:
+        crit = {v: flows.flow(v, branch) for v in sorted(unused)}
+        best = min(crit, key=lambda v: (-crit[v], v))
+        if not root and crit[best] < params.flow_threshold:
             return None
         rest = [u for u in unused if u != best]
         branches = []
         for s in network.states(best):
             nb = {**branch, best: s}
-            pb = query(network, (), nb).item()
-            pbe = query(network, (), {**nb, **evidence}).item()
-            label = math.log(pbe / pb / pe) if pbe > 0.0 else -math.inf
+            pb = mass(tables.prior, nb)
+            pbe = mass(tables.joint, nb)
+            label = math.log(pbe / pb / tables.pe) if pbe > 0.0 else -math.inf
             branches.append(TreeBranch(state=s, label=label,
                                        child=expand(nb, rest, False)))
-        return TreeNode(var=best, criterion=flows[best], branches=tuple(branches))
+        return TreeNode(var=best, criterion=crit[best], branches=tuple(branches))
 
-    return expand({}, list(network.targets), True)
+    try:
+        return expand({}, list(tables.targets), True)
+    finally:
+        del expand  # the recursive closure is a cycle; free the tables now, not at GC
 
 
 # ---------------------------------------------------------------------------

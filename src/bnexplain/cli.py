@@ -120,7 +120,7 @@ def _cmd_explain(args) -> int:
 
     pruned_doc = []
     if args.method == "mre":
-        rows = [mre(net, ev, prune=not args.no_prune)]
+        rows = [mre(net, ev)]
     elif args.method == "kmre":
         floor = args.gbf_floor if args.gbf_floor is not None else 1.0
         res = k_mre(net, ev, k=args.k, gbf_floor=floor)
@@ -242,8 +242,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=3, help="rows to report")
     p.add_argument("--gbf-floor", type=float, default=None,
                    help="minimum GBF for kmre rows beyond the first")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable independence pruning in single-MRE search")
     p.add_argument("--verbose", action="store_true",
                    help="kmre: also list dominated candidates near the top")
     p.add_argument("--threshold-simplify", type=float, default=0.05,

@@ -1,8 +1,10 @@
 """Exact probabilistic queries: marginal, conditional, likelihood, and do-queries.
 
 Production inference is variable elimination with a min-fill ordering; the
-brute-force joint is kept as a testing oracle. All information measures are
-in nats.
+brute-force joint is kept as a testing oracle. The explanation methods read
+their probabilities from two tables per query, P(T) and P(T, e) over the
+unobserved targets (`explanation_tables`). All information measures are in
+nats.
 """
 from __future__ import annotations
 
@@ -131,6 +133,49 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
     return out
 
 
+def sum_to(network: Network, f: Factor, keep: tuple[str, ...] = (),
+           at: Assignment | None = None) -> np.ndarray:
+    """The entries of f consistent with `at`, summed down to one axis per
+    `keep` variable, in that order. With empty `keep` the result is 0-d."""
+    at = at or {}
+    pick = tuple(network.states(v).index(at[v]) if v in at else slice(None)
+                 for v in f.scope)
+    rest = [v for v in f.scope if v not in at]
+    values = f.values[pick].sum(axis=tuple(i for i, v in enumerate(rest) if v not in keep))
+    kept = [v for v in rest if v in keep]
+    return np.transpose(values, [kept.index(v) for v in keep])
+
+
+@dataclass(frozen=True)
+class ExplanationTables:
+    """P(T) and P(T, e) over the unobserved targets T, in declared order."""
+
+    prior: Factor
+    joint: Factor
+    pe: float
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        return self.joint.scope
+
+
+def explanation_tables(network: Network, evidence: Assignment) -> ExplanationTables:
+    """The two tables every explanation method reads, by two VE runs.
+
+    P(e) is the sum of P(T, e). Targets bound by the evidence are not part of
+    any explanation, so the tables leave them out.
+    """
+    evidence = dict(evidence)
+    targets = tuple(t for t in network.targets if t not in evidence)
+    if not targets:
+        raise ValueError("network has no unobserved target variables")
+    joint = query(network, targets, evidence)
+    pe = float(joint.values.sum())
+    if pe <= 0.0:
+        raise ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
+    return ExplanationTables(prior=query(network, targets), joint=joint, pe=pe)
+
+
 def prob(network: Network, assignment: Assignment, evidence: Assignment | None = None) -> float:
     """Exact P(assignment | evidence); prior probability when evidence is empty."""
     assignment = dict(assignment)
@@ -229,16 +274,7 @@ def pairwise_mutual_information(network: Network, x: str, y: str,
     """I(x; y | context). Variables are ordered canonically so I(x,y) == I(y,x)
     bit for bit."""
     a, b = sorted((x, y))
-    f = query(network, (a, b), context)
-    z = f.values.sum()
-    if z == 0.0:
-        return 0.0
-    pj = f.values / z
-    pa = pj.sum(axis=1, keepdims=True)
-    pb = pj.sum(axis=0, keepdims=True)
-    mask = pj > 0
-    total = float((pj[mask] * np.log(pj[mask] / (pa * pb)[mask])).sum())
-    return max(0.0, total)
+    return table_mutual_information(query(network, (a, b), context).values)
 
 
 def set_mutual_information(network: Network, x: str, others,
@@ -246,14 +282,19 @@ def set_mutual_information(network: Network, x: str, others,
     """I(x; others jointly | context)."""
     others = tuple(sorted(others))
     f = query(network, (x,) + others, context)
-    z = f.values.sum()
+    return table_mutual_information(f.values.reshape(network.card(x), -1))
+
+
+def table_mutual_information(table: np.ndarray) -> float:
+    """I(rows; columns) of an unnormalized 2-D table; 0 for an all-zero table."""
+    z = table.sum()
     if z == 0.0:
         return 0.0
-    pj = (f.values / z).reshape(network.card(x), -1)
-    px = pj.sum(axis=1, keepdims=True)
-    po = pj.sum(axis=0, keepdims=True)
+    pj = table / z
+    pa = pj.sum(axis=1, keepdims=True)
+    pb = pj.sum(axis=0, keepdims=True)
     mask = pj > 0
-    total = float((pj[mask] * np.log(pj[mask] / (px * po)[mask])).sum())
+    total = float((pj[mask] * np.log(pj[mask] / (pa * pb)[mask])).sum())
     return max(0.0, total)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 ROLES = ("target", "observation", "auxiliary")
 
@@ -121,6 +122,8 @@ class Network:
         return self.by_role("observation")
 
     def graph(self) -> nx.DiGraph:
+        import networkx as nx  # only graph queries need it; keeps imports light
+
         g = nx.DiGraph()
         g.add_nodes_from(self.names())
         for c in self.cpts:
@@ -167,11 +170,36 @@ def validate(network: Network) -> list[str]:
     for cpt in network.cpts:
         problems.extend(_check_cpt(network, cpt, seen))
 
-    g = network.graph()
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        problems.append("cycle: " + " -> ".join(a for a, _ in cycle))
+    cycle = _find_cycle(network)
+    if cycle:
+        problems.append("cycle: " + " -> ".join(cycle))
     return problems
+
+
+def _find_cycle(network: Network) -> list[str] | None:
+    """The variables along one directed cycle (parent to child), if any."""
+    children: dict[str, list[str]] = {name: [] for name in network.names()}
+    for c in network.cpts:
+        children.setdefault(c.child, [])
+        for p in c.parents:
+            children.setdefault(p, []).append(c.child)
+    done: set[str] = set()
+    for root in children:
+        if root in done:
+            continue
+        path, stack = [root], [iter(children[root])]
+        while stack:
+            for v in stack[-1]:
+                if v in path:
+                    return path[path.index(v):]
+                if v not in done:
+                    path.append(v)
+                    stack.append(iter(children[v]))
+                    break
+            else:
+                stack.pop()
+                done.add(path.pop())
+    return None
 
 
 def _check_cpt(network, cpt, known) -> list[str]:
@@ -373,6 +401,8 @@ def load_network(path) -> Network:
 
 def d_separated(network: Network, a, b, z) -> bool:
     """True iff every path between variable sets a and b is blocked by z."""
+    import networkx as nx
+
     a, b, z = set(a), set(b), set(z)
     for name in a | b | z:
         network.var(name)

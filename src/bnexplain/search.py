@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import infer, relevance
-from .model import Assignment, Network, d_separated
+from .model import Assignment, Network
 
 Bindings = tuple[tuple[str, str], ...]
 
@@ -32,6 +32,11 @@ class ScoredExplanation:
         return dict(self.bindings)
 
 
+def _subsets(targets) -> Iterator[tuple[str, ...]]:
+    for size in range(1, len(targets) + 1):
+        yield from itertools.combinations(targets, size)
+
+
 def enumerate_explanations(network: Network) -> Iterator[Bindings]:
     """Every nonempty partial instantiation of the targets, exactly once.
 
@@ -41,10 +46,9 @@ def enumerate_explanations(network: Network) -> Iterator[Bindings]:
     targets = sorted(network.targets)
     if not targets:
         raise ValueError("network has no target variables")
-    for size in range(1, len(targets) + 1):
-        for combo in itertools.combinations(targets, size):
-            for states in itertools.product(*(network.states(v) for v in combo)):
-                yield tuple(zip(combo, states))
+    for combo in _subsets(targets):
+        for states in itertools.product(*(network.states(v) for v in combo)):
+            yield tuple(zip(combo, states))
 
 
 def candidate_count(network: Network) -> int:
@@ -60,54 +64,27 @@ def _rank(row: ScoredExplanation):
 
 
 def score_all(network: Network, evidence: Assignment) -> list[ScoredExplanation]:
-    """GBF-score every candidate, sorted descending. Always exhaustive."""
-    evidence = dict(evidence)
-    pe = infer.query(network, (), evidence).item()
-    if pe <= 0.0:
-        raise infer.ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
+    """GBF-score every candidate, sorted descending. Always exhaustive.
+
+    Candidates are the partial instantiations of the unobserved targets, in
+    `enumerate_explanations` order. Each variable subset's priors and
+    posteriors are one marginal of P(T) and of P(T, e), flattened in C
+    order, which is that enumeration order.
+    """
+    tables = infer.explanation_tables(network, evidence)
     rows = []
-    for i, bindings in enumerate(enumerate_explanations(network)):
-        rows.append(_scored(network, bindings, evidence, pe, i))
+    for combo in _subsets(sorted(tables.targets)):
+        priors = infer.sum_to(network, tables.prior, combo).ravel().tolist()
+        posteriors = (infer.sum_to(network, tables.joint, combo) / tables.pe).ravel().tolist()
+        states = itertools.product(*(network.states(v) for v in combo))
+        for s, prior, posterior in zip(states, priors, posteriors):
+            rows.append(ScoredExplanation(bindings=tuple(zip(combo, s)), kind="gbf",
+                                          value=relevance.gbf_from_probs(prior, posterior),
+                                          prior=prior, posterior=posterior, order=len(rows)))
     rows.sort(key=_rank)
     return rows
 
 
-def _scored(network, bindings, evidence, pe, order) -> ScoredExplanation:
-    ev = dict(bindings)
-    prior = infer.query(network, (), ev).item()
-    pxe = infer.query(network, (), {**ev, **evidence}).item()
-    posterior = pxe / pe
-    return ScoredExplanation(bindings=bindings, kind="gbf",
-                             value=relevance.gbf_from_probs(prior, posterior),
-                             prior=prior, posterior=posterior, order=order)
-
-
-def mre(network: Network, evidence: Assignment, prune: bool = True) -> ScoredExplanation:
-    """The candidate with maximum GBF (exact; pruning never changes the answer)."""
-    evidence = dict(evidence)
-    if not prune:
-        return score_all(network, evidence)[0]
-    pe = infer.query(network, (), evidence).item()
-    if pe <= 0.0:
-        raise infer.ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
-    evidence_vars = set(evidence)
-    sep = {}
-
-    def separated(y: str, rest: frozenset) -> bool:
-        key = (y, rest)
-        if key not in sep:
-            sep[key] = d_separated(network, {y}, evidence_vars, rest)
-        return sep[key]
-
-    best = None
-    for i, bindings in enumerate(enumerate_explanations(network)):
-        names = frozenset(v for v, _ in bindings)
-        # A variable that is d-separated from the evidence given the rest of
-        # the candidate adds no explanatory power; the subset without it is
-        # enumerated earlier and scores at least as high.
-        if not (names & evidence_vars) and any(separated(y, names - {y}) for y in names):
-            continue
-        row = _scored(network, bindings, evidence, pe, i)
-        if best is None or _rank(row) < _rank(best):
-            best = row
-    return best
+def mre(network: Network, evidence: Assignment) -> ScoredExplanation:
+    """The candidate with maximum GBF: the first row of `score_all`."""
+    return score_all(network, evidence)[0]

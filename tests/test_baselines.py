@@ -79,6 +79,23 @@ def test_kmap_requires_targets(nets):
         k_map(net, {"X": "a"})
 
 
+def test_tiny_scores_rank_by_size():
+    # joints and likelihoods far below 1e-10 must not tie
+    from bnexplain.model import Network, TableCpt, Variable
+    net = Network(
+        variables=(Variable("T", ("a", "b"), "target"),
+                   Variable("O", ("y", "n"), "observation")),
+        cpts=(TableCpt(child="T", parents=(), rows=(0.5, 0.5)),
+              TableCpt(child="O", parents=("T",), rows=(1e-11, 1 - 1e-11, 2e-11, 1 - 2e-11))),
+    )
+    rows = k_map(net, {"O": "y"}, k=2)
+    assert [r.bindings for r in rows] == [(("T", "b"),), (("T", "a"),)]
+    assert [r.value for r in rows] == pytest.approx([1e-11, 5e-12], rel=1e-9)
+    rows = k_simp(net, {"O": "y"}, BaselineParams(k=2))
+    assert [r.bindings for r in rows] == [(("T", "b"),), (("T", "a"),)]
+    assert [r.value for r in rows] == pytest.approx([2e-11, 1e-11], rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # K-SIMP
 

@@ -1,8 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bnexplain
 from bnexplain import bench
 from bnexplain.infer import query
 from bnexplain.model import (
@@ -48,7 +53,24 @@ def test_cycle_reported():
         (_v("A"), TableCpt(child="A", parents=("B",), rows=(1.0, 0.0, 0.0, 1.0))),
         (_v("B"), TableCpt(child="B", parents=("A",), rows=(1.0, 0.0, 0.0, 1.0))),
     )
-    assert any("cycle" in p for p in validate(net))
+    assert "cycle: A -> B" in validate(net)
+    longer = _net(
+        (_v("X"), TableCpt(child="X", parents=(), rows=(0.5, 0.5))),
+        (_v("A"), TableCpt(child="A", parents=("X", "C"), rows=(1.0, 0.0) * 4)),
+        (_v("B"), TableCpt(child="B", parents=("A",), rows=(1.0, 0.0, 0.0, 1.0))),
+        (_v("C"), TableCpt(child="C", parents=("B",), rows=(1.0, 0.0, 0.0, 1.0))),
+    )
+    assert [p for p in validate(longer) if "cycle" in p] == ["cycle: A -> B -> C"]
+
+
+def test_import_leaves_networkx_unloaded():
+    # networkx is needed only for d_separated and Network.graph
+    src = Path(bnexplain.__file__).resolve().parents[1]
+    code = "import sys, bnexplain; print('networkx' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_duplicate_variable_reported():

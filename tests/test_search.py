@@ -99,7 +99,6 @@ def test_mre_equals_best_scored(nets, scenarios):
         net = nets[fid]
         best = score_all(net, evidence)[0]
         assert mre(net, evidence) == best, sid
-        assert mre(net, evidence, prune=False) == best, sid
 
 
 def test_mre_impossible_evidence(nets):
