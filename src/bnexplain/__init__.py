@@ -25,8 +25,6 @@ from .infer import (
     Factor,
     ImpossibleEvidenceError,
     brute_force_joint,
-    causal_information_flow,
-    cond_mutual_information,
     explanation_tables,
     likelihood,
     marginal,
@@ -80,9 +78,7 @@ __all__ = [
     "brute_force_joint",
     "candidate_count",
     "causal_explanation_tree",
-    "causal_information_flow",
     "cbf",
-    "cond_mutual_information",
     "conditional_gbf",
     "d_separated",
     "dominates",

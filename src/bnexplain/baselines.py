@@ -46,6 +46,14 @@ class BaselineParams:
     flow_threshold: float = 0.01
     k: int = 3
 
+    def __post_init__(self):
+        _check_k(self.k)
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
 
 # ---------------------------------------------------------------------------
 # K-MAP
@@ -57,6 +65,7 @@ def k_map(network: Network, evidence: Assignment, k: int = 3) -> list[ScoredExpl
     Reported score is the joint P(x, e). Ties break by higher prior, then by
     enumeration order (targets in declared order, rightmost fastest).
     """
+    _check_k(k)
     return _k_map(network, explanation_tables(network, evidence), k)
 
 

@@ -1,21 +1,17 @@
 """Embedded benchmark networks and the golden score tables they reproduce.
 
-Six small diagnosis/abduction networks ship with the package, both as code
-(the builders below are authoritative) and as JSON under ``data/`` for use
-with external tools. Each benchmark scenario pins a fixture, an evidence
-assignment, and a set of expected rows; ``run_scenario`` recomputes every
-row and reports per-row pass/fail with deltas.
-
-Set ``MRE_FIXTURE_DIR`` to load fixture JSON from another directory instead
-of the embedded builders.
+Six small diagnosis/abduction networks ship with the package as code; the
+builders below are the only source of each (``bnexplain show --fixture X
+--format json`` prints one in the JSON network format). Each benchmark
+scenario pins a fixture, an evidence assignment, and a set of expected rows;
+``run_scenario`` recomputes every row and reports per-row pass/fail with
+deltas.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .baselines import BaselineParams, k_map, k_simp
@@ -28,14 +24,11 @@ from .model import (
     NoisyOrTrigger,
     TableCpt,
     Variable,
-    load_network,
 )
 from .relevance import cbf
 from .search import ScoredExplanation, score_all
 
 Bindings = tuple[tuple[str, str], ...]
-
-DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +273,10 @@ FIXTURE_IDS = tuple(_BUILDERS)
 
 
 def fixture(fixture_id: str) -> Network:
-    """Return a benchmark network by id.
-
-    Reads ``<MRE_FIXTURE_DIR>/<id>.json`` when that env var is set,
-    otherwise builds the embedded fixture.
-    """
+    """Build a benchmark network by id."""
     if fixture_id not in _BUILDERS:
         known = ", ".join(sorted(_BUILDERS))
         raise ValueError(f"unknown fixture id {fixture_id!r} (known: {known})")
-    override = os.environ.get("MRE_FIXTURE_DIR")
-    if override:
-        return load_network(Path(override) / f"{fixture_id}.json")
     return _BUILDERS[fixture_id]()
 
 
@@ -327,7 +313,6 @@ class Scenario:
     scenario_id: str
     fixture_id: str
     evidence: Bindings
-    targets: tuple[str, ...]
     expected: tuple[Expected, ...]
     k: int = 3
 
@@ -424,12 +409,10 @@ SCENARIOS: dict[str, Scenario] = {}
 
 
 def _scenario(scenario_id, fixture_id, evidence, expected, k=3):
-    targets = _BUILDERS[fixture_id]().targets
     SCENARIOS[scenario_id] = Scenario(
         scenario_id=scenario_id,
         fixture_id=fixture_id,
         evidence=evidence,
-        targets=targets,
         expected=expected,
         k=k,
     )

@@ -8,7 +8,6 @@ nats.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,24 +258,6 @@ def brute_force_joint(network: Network, cap: int = 2 ** 24) -> Factor:
 # ---------------------------------------------------------------------------
 # information measures (nats)
 
-def cond_mutual_information(network: Network, x: str, ys, context: Assignment | None = None) -> float:
-    """Mean over y in ys of I(x; y | context), each term clamped at zero."""
-    ys = tuple(ys)
-    if not ys:
-        raise ValueError("empty companion set")
-    if x in ys:
-        raise ValueError(f"{x!r} appears in its own companion set")
-    return sum(pairwise_mutual_information(network, x, y, context) for y in ys) / len(ys)
-
-
-def pairwise_mutual_information(network: Network, x: str, y: str,
-                                context: Assignment | None = None) -> float:
-    """I(x; y | context). Variables are ordered canonically so I(x,y) == I(y,x)
-    bit for bit."""
-    a, b = sorted((x, y))
-    return table_mutual_information(query(network, (a, b), context).values)
-
-
 def set_mutual_information(network: Network, x: str, others,
                            context: Assignment | None = None) -> float:
     """I(x; others jointly | context)."""
@@ -297,36 +278,3 @@ def table_mutual_information(table: np.ndarray) -> float:
     total = float((pj[mask] * np.log(pj[mask] / (pa * pb)[mask])).sum())
     return max(0.0, total)
 
-
-def causal_information_flow(network: Network, x: str, evidence_vars,
-                            context: Assignment | None = None) -> float:
-    """Interventional information flow I(x -> evidence_vars | context).
-
-    Forward KL of each interventional outcome distribution against their
-    mixture, with intervention states weighted by P(x | context).
-    """
-    evidence_vars = tuple(evidence_vars)
-    context = dict(context or {})
-    w = query(network, (x,), context).values
-    z = w.sum()
-    if z <= 0.0:
-        raise ImpossibleEvidenceError(f"context {context} has probability 0")
-    w = w / z
-    dists = {}
-    for i, state in enumerate(network.states(x)):
-        if w[i] == 0.0:
-            continue
-        mnet = mutilate(network, {x: state})
-        f = query(mnet, evidence_vars, context)
-        zz = f.values.sum()
-        if zz == 0.0:
-            continue  # this intervention makes the context impossible
-        dists[i] = f.values.ravel() / zz
-    if not dists:
-        return 0.0
-    mix = sum(w[i] * d for i, d in dists.items())
-    flow = 0.0
-    for i, d in dists.items():
-        mask = d > 0
-        flow += w[i] * float((d[mask] * np.log(d[mask] / mix[mask])).sum())
-    return max(0.0, flow)

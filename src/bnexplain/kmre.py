@@ -108,6 +108,8 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
     their first representative. The best row is always reported; further rows
     must clear the floor. Pass gbf_floor=None to disable the floor.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     scored = search.score_all(network, evidence)
     kept, witnesses = minimal_set(scored)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
@@ -225,10 +226,10 @@ def _check_cpt(network, cpt, known) -> list[str]:
             return out
         for i in range(nconf):
             row = cpt.rows[i * width:(i + 1) * width]
-            if any(x < 0 or x > 1 for x in row):
+            if any(not 0 <= x <= 1 for x in row):  # also true for NaN
                 out.append(f"{where}: row {i} has entries outside [0,1]")
             s = sum(row)
-            if abs(s - 1.0) > ROW_SUM_TOL:
+            if not math.isfinite(s) or abs(s - 1.0) > ROW_SUM_TOL:
                 out.append(f"{where}: row {i} sum {s} != 1")
     elif isinstance(cpt, NoisyOrCpt):
         if network.card(cpt.child) != 2:
@@ -336,29 +337,31 @@ def parse_network(text: str) -> Network:
     """Parse the JSON network format; raises ValueError naming the bad field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError("top level must be an object")
-    raw_vars = doc.get("variables")
+    raw_vars = _array(doc.get("variables"), "variables")
     if not raw_vars:
-        raise ValueError("empty or missing 'variables'")
+        raise ValueError("variables is empty")
     variables = []
     for i, rv in enumerate(raw_vars):
+        where = f"variables[{i}]"
         try:
             variables.append(Variable(
-                name=rv["name"],
-                states=tuple(rv["states"]),
+                name=_string(rv["name"], f"{where}.name"),
+                states=_strings(rv["states"], f"{where}.states"),
                 role=rv.get("role", "auxiliary"),
             ))
         except (KeyError, TypeError) as e:
-            raise ValueError(f"variables[{i}]: missing field {e}") from None
+            raise ValueError(f"{where}: missing field {e}") from None
     cpts = []
-    for i, rc in enumerate(doc.get("cpts", [])):
+    for i, rc in enumerate(_array(doc.get("cpts", []), "cpts")):
+        where = f"cpts[{i}]"
         try:
-            cpts.append(_parse_cpt(rc))
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"cpts[{i}]: bad or missing field {e}") from None
+            cpts.append(_parse_cpt(rc, where))
+        except (KeyError, TypeError, OverflowError) as e:
+            raise ValueError(f"{where}: bad or missing field {e}") from None
     net = Network(variables=tuple(variables), cpts=tuple(cpts))
     problems = validate(net)
     if problems:
@@ -366,29 +369,52 @@ def parse_network(text: str) -> Network:
     return net
 
 
-def _parse_cpt(rc) -> Cpt:
-    child = rc["child"]
-    parents = tuple(rc["parents"])
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be an array")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string")
+    return value
+
+
+def _strings(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{where} must be an array of strings")
+    return tuple(value)
+
+
+def _parse_cpt(rc, where: str) -> Cpt:
+    child = _string(rc["child"], f"{where}.child")
+    parents = _strings(rc["parents"], f"{where}.parents")
     kind = rc["kind"]
     if kind == "table":
-        return TableCpt(child=child, parents=parents, rows=tuple(float(x) for x in rc["rows"]))
+        rows = _array(rc["rows"], f"{where}.rows")
+        return TableCpt(child=child, parents=parents, rows=tuple(float(x) for x in rows))
     if kind == "noisy_or":
         triggers = tuple(
-            NoisyOrTrigger(t["parent"], t["activating_state"], float(t["p"]))
-            for t in rc["triggers"]
+            NoisyOrTrigger(_string(t["parent"], f"{where}.triggers"),
+                           _string(t["activating_state"], f"{where}.triggers"),
+                           float(t["p"]))
+            for t in _array(rc["triggers"], f"{where}.triggers")
         )
         return NoisyOrCpt(child=child, parents=parents,
-                          effect_state=rc["effect_state"], triggers=triggers,
-                          leak=float(rc.get("leak", 0.0)))
+                          effect_state=_string(rc["effect_state"], f"{where}.effect_state"),
+                          triggers=triggers, leak=float(rc.get("leak", 0.0)))
     if kind == "deterministic":
         exceptions = tuple(
-            (tuple(ex["when"][p] for p in parents), ex["then"])
-            for ex in rc.get("exceptions", [])
+            (tuple(_string(ex["when"][p], f"{where}.exceptions") for p in parents),
+             _string(ex["then"], f"{where}.exceptions"))
+            for ex in _array(rc.get("exceptions", []), f"{where}.exceptions")
         )
         return DeterministicCpt(child=child, parents=parents,
-                                default_state=rc["default_state"],
+                                default_state=_string(rc["default_state"],
+                                                      f"{where}.default_state"),
                                 exceptions=exceptions)
-    raise ValueError(f"unknown CPT kind {kind!r}")
+    raise ValueError(f"{where}: unknown CPT kind {kind!r}")
 
 
 def load_network(path) -> Network:

@@ -148,7 +148,7 @@ def parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError:
         raise ValueError(f"bad grid {spec!r}, expected start:stop:step") from None
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
     grid = []
     k = 0

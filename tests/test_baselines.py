@@ -344,3 +344,11 @@ def test_baseline_params_defaults():
     assert p.mi_threshold == 0.05
     assert p.flow_threshold == 0.01
     assert p.k == 3
+
+
+def test_k_below_one_is_rejected(nets):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            k_map(nets["circuit"], CIRCUIT_E, k=k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            BaselineParams(k=k)

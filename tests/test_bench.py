@@ -1,10 +1,9 @@
 import json
-import os
 
 import pytest
 
 from bnexplain import bench
-from bnexplain.model import serialize_network, validate
+from bnexplain.model import parse_network, serialize_network, validate
 
 
 def test_every_scenario_reproduces_its_goldens():
@@ -58,38 +57,18 @@ def test_report_text_structure():
     assert all("ok" in line for line in lines[1:])
 
 
-def test_failure_is_report_content_not_exception(tmp_path, monkeypatch):
+def test_failure_is_report_content_not_exception(monkeypatch):
     # a fixture whose numbers drift must produce FAIL rows, not crashes
-    for fid in bench.FIXTURE_IDS:
-        doc = json.loads(serialize_network(bench._BUILDERS[fid]()))
-        (tmp_path / f"{fid}.json").write_text(json.dumps(doc))
-    doc = json.loads(serialize_network(bench._BUILDERS["circuit2"]()))
+    doc = json.loads(serialize_network(bench.fixture("circuit2")))
     for cpt in doc["cpts"]:
         if cpt["child"] == "OK3":
             cpt["rows"] = [0.4, 0.6]
-    (tmp_path / "circuit2.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("MRE_FIXTURE_DIR", str(tmp_path))
+    drifted = parse_network(json.dumps(doc))
+    monkeypatch.setattr(bench, "fixture", lambda fid: drifted)
     report = bench.run_scenario("circuit2")
     assert not report.passed
     assert any(not r.passed for r in report.rows)
     assert "FAIL" in report.text()
-
-
-def test_fixture_env_override_and_builder_agree(tmp_path, monkeypatch):
-    for fid in bench.FIXTURE_IDS:
-        built = bench._BUILDERS[fid]()
-        (tmp_path / f"{fid}.json").write_text(serialize_network(built))
-        monkeypatch.setenv("MRE_FIXTURE_DIR", str(tmp_path))
-        loaded = bench.fixture(fid)
-        monkeypatch.delenv("MRE_FIXTURE_DIR")
-        assert loaded == built, fid
-
-
-def test_shipped_fixture_files_match_builders():
-    for fid in bench.FIXTURE_IDS:
-        path = bench.DATA_DIR / f"{fid}.json"
-        assert path.exists(), fid
-        assert path.read_text() == serialize_network(bench._BUILDERS[fid]()) + "\n", fid
 
 
 def test_fixtures_are_valid_networks(nets):
@@ -103,6 +82,5 @@ def test_scenario_table_is_consistent():
         assert sc.scenario_id == sid
         assert sc.fixture_id in bench.FIXTURE_IDS
         net = bench.fixture(sc.fixture_id)
-        assert sc.targets == net.targets
         for var, state in sc.evidence:
             assert state in net.states(var)

@@ -119,6 +119,17 @@ def test_explain_rejects_bad_evidence(capsys):
     assert "conflicting" in err
 
 
+def test_explain_rejects_k_below_one(capsys):
+    for method in ("mre", "kmre", "kmap", "ksimp", "etree", "cetree"):
+        for k in ("0", "-2"):
+            code, out, err = run(capsys, "explain", "--fixture", "circuit",
+                                 "--evidence", "Input=current", "--method", method,
+                                 "--k", k)
+            assert code == 1, (method, k)
+            assert out == ""
+            assert "k must be at least 1" in err
+
+
 def test_explain_impossible_evidence_exit_code(capsys):
     code, _, err = run(capsys, "explain", "--fixture", "circuit",
                        "--evidence", "Input=noCurr")
@@ -133,6 +144,18 @@ def test_explain_loads_network_file(capsys, tmp_path):
                        "--evidence", "Dyspnea=yes")
     assert code == 0
     assert "(Bronchitis=yes)" in out
+
+
+def test_explain_rejects_mistyped_network_file(capsys, tmp_path):
+    # test_model covers each mistyped field; this checks the exit code
+    doc = json.loads(serialize_network(bench.fixture("asia")))
+    doc["variables"][0]["name"] = [1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "explain", "--network", str(path),
+                       "--evidence", "Dyspnea=yes")
+    assert code == 1
+    assert err == "error: variables[0].name must be a string\n"
 
 
 def test_explain_requires_a_source(capsys):
@@ -166,16 +189,13 @@ def test_bench_json(capsys):
     assert docs[0]["passed"] is True
 
 
-def test_bench_detects_drift(capsys, tmp_path, monkeypatch):
-    for fid in bench.FIXTURE_IDS:
-        (tmp_path / f"{fid}.json").write_text(
-            serialize_network(bench._BUILDERS[fid]()))
-    doc = json.loads((tmp_path / "asia.json").read_text())
+def test_bench_detects_drift(capsys, monkeypatch):
+    doc = json.loads(serialize_network(bench.fixture("asia")))
     for cpt in doc["cpts"]:
         if cpt["child"] == "Bronchitis":
             cpt["rows"] = [0.5, 0.5, 0.5, 0.5]
-    (tmp_path / "asia.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("MRE_FIXTURE_DIR", str(tmp_path))
+    drifted = parse_network(json.dumps(doc))
+    monkeypatch.setattr(bench, "fixture", lambda fid: drifted)
     code, out, _ = run(capsys, "bench", "asia-dyspnea")
     assert code == 3
     assert "FAIL" in out
@@ -222,6 +242,10 @@ def test_curve_rejects_bad_requests(capsys):
                        "--grid", "0.1:0.9:0.1")
     assert code == 1
     assert "outside" in err
+    code, _, err = run(capsys, "curve", "--fixed-delta", "0.1",
+                       "--grid", "nan:1:0.1")
+    assert code == 1
+    assert "bad grid" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,15 @@ from bnexplain.infer import (
     Factor,
     ImpossibleEvidenceError,
     brute_force_joint,
-    causal_information_flow,
-    cond_mutual_information,
     likelihood,
     marginal,
     mutilate,
-    pairwise_mutual_information,
     prob,
     prob_do,
     query,
     set_mutual_information,
 )
+from bnexplain.baselines import causal_flow
 from bnexplain.model import DeterministicCpt, Network, TableCpt, Variable, validate
 
 
@@ -245,7 +243,7 @@ def _copy_pair(p0):
 
 
 def test_mutual_information_of_copied_pair():
-    assert pairwise_mutual_information(_copy_pair(0.5), "X", "Y") == pytest.approx(
+    assert set_mutual_information(_copy_pair(0.5), "X", ("Y",)) == pytest.approx(
         math.log(2.0), abs=1e-12)
 
 
@@ -255,66 +253,75 @@ def test_mutual_information_of_independent_pair():
         cpts=(TableCpt(child="X", parents=(), rows=(0.3, 0.7)),
               TableCpt(child="Y", parents=(), rows=(0.6, 0.4))),
     )
-    assert pairwise_mutual_information(net, "X", "Y") == pytest.approx(0.0, abs=1e-12)
-    assert cond_mutual_information(net, "X", ("Y",)) == pytest.approx(0.0, abs=1e-12)
+    assert set_mutual_information(net, "X", ("Y",)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_is_symmetric(nets):
     net = nets["asia"]
-    a = pairwise_mutual_information(net, "Bronchitis", "LungCancer", {"Dyspnea": "yes"})
-    b = pairwise_mutual_information(net, "LungCancer", "Bronchitis", {"Dyspnea": "yes"})
-    assert a == b
-
-
-def test_cond_mutual_information_is_mean_of_pairs(nets, joints):
-    net = nets["academe"]
-    others = ("Practice", "Extra", "OtherFactors")
-    got = cond_mutual_information(net, "Theory", others)
-    want = sum(oracle.mutual_information(net, joints["academe"], "Theory", y)
-               for y in others) / len(others)
-    assert got == pytest.approx(want, abs=1e-9)
-    assert got >= 0.0
-
-
-def test_cond_mutual_information_rejects_bad_companions(nets):
-    with pytest.raises(ValueError, match="companion"):
-        cond_mutual_information(nets["asia"], "Smoking", ())
-    with pytest.raises(ValueError, match="companion"):
-        cond_mutual_information(nets["asia"], "Smoking", ("Smoking",))
-
-
-def test_set_mutual_information_collapses_to_pairwise(nets):
-    net = nets["asia"]
-    a = set_mutual_information(net, "Bronchitis", ("Dyspnea",))
-    b = pairwise_mutual_information(net, "Bronchitis", "Dyspnea")
+    a = set_mutual_information(net, "Bronchitis", ("LungCancer",), {"Dyspnea": "yes"})
+    b = set_mutual_information(net, "LungCancer", ("Bronchitis",), {"Dyspnea": "yes"})
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_set_mutual_information_collapses_to_pairwise(nets, joints):
+    net = nets["academe"]
+    for y in ("Practice", "Extra", "OtherFactors"):
+        for context in ({}, {"FinalMark": "fail"}):
+            got = set_mutual_information(net, "Theory", (y,), context)
+            want = oracle.mutual_information(net, joints["academe"], "Theory", y, context)
+            assert got == pytest.approx(want, abs=1e-9), (y, context)
+
+
+def test_set_mutual_information_of_a_pair_of_others(nets, joints):
+    # I(x; {y, z}) by enumeration over the joint states of (y, z)
+    net, table = nets["asia"], joints["asia"]
+    x, others = "Bronchitis", ("Dyspnea", "XRay")
+    want = 0.0
+    for sx in net.states(x):
+        px = oracle.mass(net, table, {x: sx})
+        for sy, sz in itertools.product(*(net.states(v) for v in others)):
+            rest = dict(zip(others, (sy, sz)))
+            pxyz = oracle.mass(net, table, {x: sx, **rest})
+            if pxyz > 0.0:
+                want += pxyz * math.log(pxyz / (px * oracle.mass(net, table, rest)))
+    got = set_mutual_information(net, x, others)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def _symmetrized_flow(weights, dists):
+    """Sum over i of w_i * sum over the support of d_i of (p - q) ln(p / q),
+    q the w-weighted mixture of the d_i."""
+    mix = [sum(w * d[j] for w, d in zip(weights, dists)) for j in range(len(dists[0]))]
+    return sum(w * (p - q) * math.log(p / q)
+               for w, d in zip(weights, dists) for p, q in zip(d, mix) if p > 0.0)
 
 
 def test_flow_without_directed_path_is_zero(nets):
     # Dyspnea is a sink: no directed path back to Bronchitis
-    assert causal_information_flow(nets["asia"], "Dyspnea", ("Bronchitis",)) == pytest.approx(
+    assert causal_flow(nets["asia"], "Dyspnea", ("Bronchitis",), {}, {}) == pytest.approx(
         0.0, abs=1e-12)
 
 
-def test_flow_of_copied_root_is_entropy():
+def test_flow_of_copied_root():
+    # do(X = x) pins Y = x: the outcome distributions are the two point masses
     net = _copy_pair(0.3)
-    want = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
-    assert causal_information_flow(net, "X", ("Y",)) == pytest.approx(want, abs=1e-12)
+    want = _symmetrized_flow([0.3, 0.7], [[1.0, 0.0], [0.0, 1.0]])
+    assert want == pytest.approx(0.21 * (math.log(1 / 0.3) + math.log(1 / 0.7)), abs=1e-12)
+    assert causal_flow(net, "X", ("Y",), {}, {}) == pytest.approx(want, abs=1e-12)
 
 
-def test_flow_matches_oracle_on_asia(nets):
+def test_flow_matches_oracle_on_asia(nets, joints):
+    # weights are P(Bronchitis | e); outcomes are interventional, without e
     net = nets["asia"]
-    got = causal_information_flow(net, "Bronchitis", ("Dyspnea",))
-    prior = [oracle.prob(net, oracle.joint(net), {"Bronchitis": s})
-             for s in net.states("Bronchitis")]
     dists = []
     for s in net.states("Bronchitis"):
         mnet = mutilate(net, {"Bronchitis": s})
         mjoint = oracle.joint(mnet)
         dists.append([oracle.prob(mnet, mjoint, {"Dyspnea": d})
                       for d in net.states("Dyspnea")])
-    mix = [sum(w * d[j] for w, d in zip(prior, dists)) for j in range(2)]
-    want = sum(w * p * math.log(p / m)
-               for w, d in zip(prior, dists) for p, m in zip(d, mix) if p > 0.0)
-    assert got == pytest.approx(want, abs=1e-9)
-    assert got >= 0.0
+    for evidence in ({}, {"Dyspnea": "yes"}, {"XRay": "abnormal"}):
+        weights = [oracle.prob(net, joints["asia"], {"Bronchitis": s}, evidence)
+                   for s in net.states("Bronchitis")]
+        got = causal_flow(net, "Bronchitis", ("Dyspnea",), {}, evidence)
+        assert got == pytest.approx(_symmetrized_flow(weights, dists), abs=1e-9), evidence
+        assert got > 0.0

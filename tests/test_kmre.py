@@ -144,6 +144,12 @@ def test_k_truncation(nets):
     assert one.rows[0] == full.rows[0]
 
 
+def test_k_below_one_is_rejected(nets):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            k_mre(nets["circuit"], {"Input": "current", "TotalOutput": "current"}, k=k)
+
+
 def test_result_carries_the_full_sweep(nets):
     res = k_mre(nets["asia"], {"Dyspnea": "yes"})
     assert len(res.scored) == 26

@@ -1,11 +1,14 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnexplain
 from bnexplain import bench
@@ -46,6 +49,19 @@ def test_row_sum_violation_reported():
     net = _net((_v("X"), TableCpt(child="X", parents=(), rows=(0.5, 0.4))))
     problems = validate(net)
     assert any("sum" in p for p in problems)
+
+
+def test_nan_entries_reported(nets):
+    doc = json.loads(serialize_network(nets["vacation1"]))
+    cpt = next(c for c in doc["cpts"] if c["kind"] == "table")
+    width = len(next(v for v in doc["variables"] if v["name"] == cpt["child"])["states"])
+    cpt["rows"][:width] = [math.nan] * width
+    with pytest.raises(ValueError, match="row 0 has entries outside"):
+        parse_network(json.dumps(doc))
+    net = _net((_v("X"), TableCpt(child="X", parents=(), rows=(math.nan, 1.0))))
+    problems = validate(net)
+    assert "CPT of X: row 0 has entries outside [0,1]" in problems
+    assert "CPT of X: row 0 sum nan != 1" in problems
 
 
 def test_cycle_reported():
@@ -209,6 +225,74 @@ def test_parse_rejects_bad_documents():
     doc["cpts"] = [{"child": "X", "parents": [], "kind": "table", "rows": [0.7, 0.7]}]
     with pytest.raises(ValueError, match="sum"):
         parse_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(variables=5), "variables must be an array"),
+    (lambda d: d.update(cpts=5), "cpts must be an array"),
+    (lambda d: d["variables"][0].update(states=[[1], [2]]), r"states must be an array of strings"),
+    (lambda d: d["variables"][0].update(states="ad"), r"states must be an array of strings"),
+    (lambda d: d["variables"][0].update(name=[1]), r"name must be a string"),
+    (lambda d: d["cpts"][0].update(child=[1]), r"child must be a string"),
+    (lambda d: d["cpts"][1].update(parents="Healthy"), r"parents must be an array of strings"),
+])
+def test_parse_rejects_mistyped_fields(nets, mutate, message):
+    doc = json.loads(serialize_network(nets["vacation1"]))
+    mutate(doc)
+    with pytest.raises(ValueError, match=message):
+        parse_network(json.dumps(doc))
+
+
+def test_parse_rejects_json_too_deep_and_numbers_too_large():
+    with pytest.raises(ValueError, match="not valid JSON"):
+        parse_network("[" * 100_000)
+    doc = {
+        "variables": [{"name": "X", "states": ["a", "b"]}],
+        "cpts": [{"child": "X", "parents": [], "kind": "table", "rows": [10 ** 400, 0]}],
+    }
+    with pytest.raises(ValueError, match="cpts"):
+        parse_network(json.dumps(doc))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parse_raises_only_value_error_on_mutated_fixtures(data):
+    doc = json.loads(serialize_network(bench.fixture(data.draw(st.sampled_from(bench.FIXTURE_IDS)))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = data.draw(_JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    try:
+        parse_network(json.dumps(doc))
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

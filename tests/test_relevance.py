@@ -226,3 +226,7 @@ def test_parse_grid():
         parse_grid("0.9:0.1:0.1")
     with pytest.raises(ValueError, match="bad grid"):
         parse_grid("0.1:0.9:0")
+    for spec in ("nan:1:0.1", "0:nan:0.1", "0:1:nan", "0:inf:0.5", "-inf:1:0.1",
+                 "0:1:inf"):
+        with pytest.raises(ValueError, match="bad grid"):
+            parse_grid(spec)
