@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class BaselineParams:
     mi_threshold: minimum ET selection criterion for a non-root node.
     flow_threshold: minimum CET causal flow for a non-root node.
     k: number of solutions (MAP seeds, reported rows).
+
+    No field may be NaN; simplify_factor and branch_floor lie in [0, 1].
     """
 
     simplify_factor: float = 0.05
@@ -47,6 +49,12 @@ class BaselineParams:
     k: int = 3
 
     def __post_init__(self):
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a number, got nan")
+        for name in ("simplify_factor", "branch_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         _check_k(self.k)
 
 
@@ -161,6 +169,33 @@ def _entropy(values: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _grow(network: Network, tables: ExplanationTables, choose, label, floor: float,
+          threshold: float, unused: list[str], branch: Assignment) -> TreeNode | None:
+    """The (sub)tree below branch over the unused targets; the root is the
+    empty branch.
+
+    choose(unused, branch) gives the variable to install and its criterion;
+    label(branch) gives a branch's label. The root is always installed. A
+    deeper node needs P(branch | e) above floor and a criterion that reaches
+    threshold; otherwise the branch is a leaf.
+    """
+    if not unused:
+        return None
+    root = not branch
+    if not root and float(sum_to(network, tables.joint, at=branch)) / tables.pe <= floor:
+        return None
+    best, crit = choose(unused, branch)
+    if not root and crit < threshold:
+        return None
+    rest = [u for u in unused if u != best]
+    branches = []
+    for s in network.states(best):
+        nb = {**branch, best: s}
+        branches.append(TreeBranch(state=s, label=label(nb), child=_grow(
+            network, tables, choose, label, floor, threshold, rest, nb)))
+    return TreeNode(var=best, criterion=crit, branches=tuple(branches))
+
+
 def explanation_tree(network: Network, evidence: Assignment,
                      params: BaselineParams = BaselineParams()) -> TreeNode | None:
     """Explanation tree over the unobserved target variables.
@@ -199,29 +234,11 @@ def explanation_tree(network: Network, evidence: Assignment,
         _, _, best = ranked[0]
         return best, -ranked[0][0]
 
-    def expand(branch, unused, root):
-        if not unused:
-            return None
-        if not root:
-            pbe = float(joint(branch)) / tables.pe
-            if pbe <= params.branch_floor:
-                return None
-        best, crit = pick(unused, branch)
-        if not root and crit < params.mi_threshold:
-            return None
-        rest = [u for u in unused if u != best]
-        branches = []
-        for s in network.states(best):
-            nb = {**branch, best: s}
-            label = float(joint(nb)) / tables.pe
-            branches.append(TreeBranch(state=s, label=label,
-                                       child=expand(nb, rest, False)))
-        return TreeNode(var=best, criterion=crit, branches=tuple(branches))
+    def label(branch):
+        return float(joint(branch)) / tables.pe
 
-    try:
-        return expand({}, list(tables.targets), True)
-    finally:
-        del expand  # the recursive closure is a cycle; free the tables now, not at GC
+    return _grow(network, tables, pick, label, params.branch_floor, params.mi_threshold,
+                 list(tables.targets), {})
 
 
 class _CausalFlows:
@@ -299,33 +316,18 @@ def causal_explanation_tree(network: Network, evidence: Assignment,
     tables = explanation_tables(network, evidence)
     flows = _CausalFlows(network, tables.joint, tuple(sorted(evidence)))
 
-    def mass(table, branch):
-        return float(sum_to(network, table, at=branch))
-
-    def expand(branch, unused, root):
-        if not unused:
-            return None
-        if mass(tables.joint, branch) == 0.0:
-            return None
+    def pick(unused, branch):
         crit = {v: flows.flow(v, branch) for v in sorted(unused)}
         best = min(crit, key=lambda v: (-crit[v], v))
-        if not root and crit[best] < params.flow_threshold:
-            return None
-        rest = [u for u in unused if u != best]
-        branches = []
-        for s in network.states(best):
-            nb = {**branch, best: s}
-            pb = mass(tables.prior, nb)
-            pbe = mass(tables.joint, nb)
-            label = math.log(pbe / pb / tables.pe) if pbe > 0.0 else -math.inf
-            branches.append(TreeBranch(state=s, label=label,
-                                       child=expand(nb, rest, False)))
-        return TreeNode(var=best, criterion=crit[best], branches=tuple(branches))
+        return best, crit[best]
 
-    try:
-        return expand({}, list(tables.targets), True)
-    finally:
-        del expand  # the recursive closure is a cycle; free the tables now, not at GC
+    def label(branch):
+        pb = float(sum_to(network, tables.prior, at=branch))
+        pbe = float(sum_to(network, tables.joint, at=branch))
+        return math.log(pbe / pb / tables.pe) if pbe > 0.0 else -math.inf
+
+    return _grow(network, tables, pick, label, 0.0, params.flow_threshold,
+                 list(tables.targets), {})
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .model import (
     Variable,
 )
 from .relevance import cbf
-from .search import ScoredExplanation, score_all
+from .search import ScoredExplanation
 
 Bindings = tuple[tuple[str, str], ...]
 
@@ -301,7 +301,7 @@ class Expected:
     """
 
     kind: str
-    value: float | None = None
+    value: float
     tol: float = 0.0
     bindings: Bindings | None = None
     given: Bindings | None = None
@@ -320,7 +320,7 @@ class Scenario:
 @dataclass(frozen=True)
 class RowResult:
     label: str
-    expected: float | None
+    expected: float
     tol: float
     computed: float | None
     delta: float | None
@@ -566,27 +566,13 @@ _scenario("circuit2", "circuit2", (("E", "low"),), (
 
 SCENARIO_IDS = tuple(SCENARIOS)
 
-_GROUP = {
-    "gbf": "gbf",
-    "kmre": "kmre",
-    "kmre-count": "kmre",
-    "kmap": "kmap",
-    "ksimp": "ksimp",
-    "ksimp-count": "ksimp",
-    "posterior": "posterior",
-    "cbf": "cbf",
-    "candidates": "meta",
-    "evidence-prob": "meta",
-}
 
-METHOD_GROUPS = tuple(sorted(set(_GROUP.values())))
-
-
-def run_scenario(scenario_id: str, methods: Iterable[str] | None = None) -> ScenarioReport:
+def run_scenario(scenario_id: str) -> ScenarioReport:
     """Recompute a scenario's golden rows and report per-row pass/fail.
 
-    ``methods`` restricts the run to a subset of METHOD_GROUPS; mismatches
-    are report content, not exceptions.
+    K-MRE, K-MAP and K-SIMP run once each; the GBF rows and the candidate
+    count read K-MRE's full sweep. Mismatches are report content, not
+    exceptions.
     """
     if scenario_id not in SCENARIOS:
         known = ", ".join(SCENARIO_IDS)
@@ -594,55 +580,33 @@ def run_scenario(scenario_id: str, methods: Iterable[str] | None = None) -> Scen
     sc = SCENARIOS[scenario_id]
     net = fixture(sc.fixture_id)
     ev = dict(sc.evidence)
-    wanted = None if methods is None else set(methods)
-
-    cache: dict[str, object] = {}
-
-    def scored() -> list[ScoredExplanation]:
-        if "scored" not in cache:
-            cache["scored"] = score_all(net, ev)
-        return cache["scored"]  # type: ignore[return-value]
-
-    def ranked(group: str) -> list[ScoredExplanation]:
-        if group not in cache:
-            if group == "kmre":
-                cache[group] = k_mre(net, ev, k=sc.k).rows
-            elif group == "kmap":
-                cache[group] = k_map(net, ev, k=sc.k)
-            else:
-                cache[group] = k_simp(net, ev, BaselineParams(k=sc.k))
-        return cache[group]  # type: ignore[return-value]
-
-    rows = []
-    for exp in sc.expected:
-        group = _GROUP[exp.kind]
-        if wanted is not None and group not in wanted:
-            continue
-        rows.append(_check(exp, net, ev, scored, ranked))
-    return ScenarioReport(sc.scenario_id, tuple(rows))
+    res = k_mre(net, ev, k=sc.k)
+    ranked = {"kmre": res.rows, "kmap": k_map(net, ev, k=sc.k),
+              "ksimp": k_simp(net, ev, BaselineParams(k=sc.k))}
+    rows = tuple(_check(exp, net, ev, res.scored, ranked) for exp in sc.expected)
+    return ScenarioReport(sc.scenario_id, rows)
 
 
-def _check(exp: Expected, net: Network, ev: dict, scored, ranked) -> RowResult:
+def _check(exp: Expected, net: Network, ev: dict, scored: list[ScoredExplanation],
+           ranked: dict[str, list[ScoredExplanation]]) -> RowResult:
     label = _label(exp)
 
     def against(computed: float | None, detail: str = "", id_ok: bool = True) -> RowResult:
         if computed is None:
             return RowResult(label, exp.value, exp.tol, None, None, False, detail)
-        if exp.value is None:
-            return RowResult(label, None, exp.tol, computed, None, id_ok, detail)
         delta = abs(computed - exp.value)
         passed = id_ok and delta <= exp.tol
         return RowResult(label, exp.value, exp.tol, computed, delta, passed, detail)
 
     if exp.kind == "gbf":
         want = frozenset(exp.bindings)
-        row = next((r for r in scored() if frozenset(r.bindings) == want), None)
+        row = next((r for r in scored if frozenset(r.bindings) == want), None)
         if row is None:
             return against(None, detail="candidate not found")
         return against(row.value)
 
     if exp.kind in ("kmre", "kmap", "ksimp"):
-        rows = ranked(exp.kind)
+        rows = ranked[exp.kind]
         if exp.rank >= len(rows):
             return against(None, detail=f"only {len(rows)} rows returned")
         row = rows[exp.rank]
@@ -653,7 +617,7 @@ def _check(exp: Expected, net: Network, ev: dict, scored, ranked) -> RowResult:
         return against(row.value, detail=detail, id_ok=id_ok)
 
     if exp.kind in ("kmre-count", "ksimp-count"):
-        return against(float(len(ranked(exp.kind.split("-")[0]))))
+        return against(float(len(ranked[exp.kind.split("-")[0]])))
 
     if exp.kind == "posterior":
         return against(prob(net, dict(exp.bindings), ev))
@@ -662,7 +626,7 @@ def _check(exp: Expected, net: Network, ev: dict, scored, ranked) -> RowResult:
         return against(cbf(net, dict(exp.bindings), ev, dict(exp.given)))
 
     if exp.kind == "candidates":
-        return against(float(len(scored())))
+        return against(float(len(scored)))
 
     if exp.kind == "evidence-prob":
         return against(prob(net, ev))

@@ -122,8 +122,7 @@ def _cmd_explain(args) -> int:
     if args.method == "mre":
         rows = [mre(net, ev)]
     elif args.method == "kmre":
-        floor = args.gbf_floor if args.gbf_floor is not None else 1.0
-        res = k_mre(net, ev, k=args.k, gbf_floor=floor)
+        res = k_mre(net, ev, k=args.k, gbf_floor=args.gbf_floor)
         rows = res.rows
         if args.verbose and rows:
             cutoff = rows[-1].value
@@ -240,8 +239,9 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="kmre",
                    choices=("mre", "kmre", "kmap", "ksimp", "etree", "cetree"))
     p.add_argument("--k", type=int, default=3, help="rows to report")
-    p.add_argument("--gbf-floor", type=float, default=None,
-                   help="minimum GBF for kmre rows beyond the first")
+    p.add_argument("--gbf-floor", type=float, default=1.0,
+                   help="kmre rows beyond the first must score above this GBF "
+                        "(-inf: no floor)")
     p.add_argument("--verbose", action="store_true",
                    help="kmre: also list dominated candidates near the top")
     p.add_argument("--threshold-simplify", type=float, default=0.05,

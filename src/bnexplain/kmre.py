@@ -1,14 +1,19 @@
 """Top-K most relevant explanations via dominance and minimality.
 
-The minimal set is built by a lattice scan over candidate sizes. Within a
-level a candidate is excluded when an alive strict subset scores at least as
-high (strong dominance); at the end of each level, the level's survivors
-evict alive strict subsets they beat strictly (weak dominance). Eviction is
-deferred to level end so same-level candidates are all judged against the
-same previous set. Every exclusion records its witness.
+The minimal set is built by a lattice scan over candidate sizes. Each
+candidate is judged only against its alive strict sub-assignments, looked up
+in a dict of alive rows keyed by the bit set of their bindings (at most 2^|x|
+lookups per candidate), and every pair is judged by the one dominance rule,
+``dominates``. Within a level a candidate
+is excluded when an alive strict sub-assignment dominates it strongly; at the
+end of each level, the level's survivors evict the alive sub-assignments they
+dominate weakly. Eviction is deferred to level end so same-level candidates
+are all judged against the same previous set. Every exclusion records its
+witness.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,44 +57,58 @@ def dominates(a: ScoredExplanation, b: ScoredExplanation) -> str | None:
     return None
 
 
+def _alive_below(alive: dict[int, tuple[int, int, ScoredExplanation]],
+                 mask: int) -> list[tuple[int, int, ScoredExplanation]]:
+    """The alive (admission, mask, row) entries at strict sub-masks of mask,
+    earliest admitted first."""
+    hits = []
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        if sub in alive:
+            hits.append(alive[sub])
+    hits.sort()
+    return hits
+
+
 def minimal_set(rows: list[ScoredExplanation]) -> tuple[list[ScoredExplanation],
                                                          dict[Bindings, DominanceVerdict]]:
     """Filter rows to the minimal (undominated) set; input order is preserved.
 
     Also returns a witness for every excluded row, keyed by its bindings.
     """
-    by_size: dict[int, list[ScoredExplanation]] = {}
+    # each (variable, state) binding is one bit; a row is the mask of its bindings
+    bit: dict[tuple[str, str], int] = {}
+    by_size: dict[int, list[tuple[int, ScoredExplanation]]] = {}
     for r in rows:
-        by_size.setdefault(len(r.bindings), []).append(r)
+        mask = 0
+        for b in r.bindings:
+            mask |= 1 << bit.setdefault(b, len(bit))
+        by_size.setdefault(len(r.bindings), []).append((mask, r))
 
-    alive: list[ScoredExplanation] = []
+    alive: dict[int, tuple[int, int, ScoredExplanation]] = {}  # mask -> (admission, mask, row)
+    admitted = itertools.count()
     witness: dict[Bindings, DominanceVerdict] = {}
     for size in sorted(by_size):
         level_kept = []
-        for r in sorted(by_size[size], key=lambda r: r.order):
-            rb = set(r.bindings)
-            killer = None
-            for k in alive:
-                if set(k.bindings) < rb and (k.value > r.value or _close(k.value, r.value)):
-                    killer = k
-                    break
+        for mask, r in sorted(by_size[size], key=lambda mr: mr[1].order):
+            killer = next((k for _, _, k in _alive_below(alive, mask)
+                           if dominates(k, r) == "strong"), None)
             if killer is not None:
                 witness[r.bindings] = DominanceVerdict(
                     "strong", killer.bindings, r.bindings, killer.value, r.value)
             else:
-                level_kept.append(r)
-        evicted = set()
-        for r in level_kept:
-            rb = set(r.bindings)
-            for k in alive:
-                if (k.bindings not in evicted and set(k.bindings) < rb
-                        and r.value > k.value and not _close(r.value, k.value)):
+                level_kept.append((mask, r))
+        for mask, r in level_kept:
+            for _, sub, k in _alive_below(alive, mask):
+                if dominates(r, k) == "weak":
                     witness[k.bindings] = DominanceVerdict(
                         "weak", r.bindings, k.bindings, r.value, k.value)
-                    evicted.add(k.bindings)
-        alive = [k for k in alive if k.bindings not in evicted] + level_kept
+                    del alive[sub]
+        for mask, r in level_kept:
+            alive[mask] = (next(admitted), mask, r)
 
-    keep = {r.bindings for r in alive}
+    keep = {r.bindings for _, _, r in alive.values()}
     return [r for r in rows if r.bindings in keep], witness
 
 
@@ -101,15 +120,17 @@ class KmreResult:
 
 
 def k_mre(network: Network, evidence: Assignment, k: int = 3,
-          gbf_floor: float | None = 1.0) -> KmreResult:
+          gbf_floor: float = 1.0) -> KmreResult:
     """Top-k minimal explanations by GBF.
 
     Runs of interchangeable rows (same variable set, same score) collapse to
     their first representative. The best row is always reported; further rows
-    must clear the floor. Pass gbf_floor=None to disable the floor.
+    must score above the floor. gbf_floor=-inf disables the floor.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if math.isnan(gbf_floor):
+        raise ValueError("gbf_floor must be a number, got nan")
     scored = search.score_all(network, evidence)
     kept, witnesses = minimal_set(scored)
 
@@ -124,7 +145,7 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
 
     rows: list[ScoredExplanation] = []
     for i, r in enumerate(collapsed):
-        if i > 0 and gbf_floor is not None and r.value <= gbf_floor:
+        if i > 0 and r.value <= gbf_floor:
             break
         rows.append(r)
         if len(rows) == k:

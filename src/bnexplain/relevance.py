@@ -16,6 +16,9 @@ from .model import Assignment, Network
 # certain event at 1 - 1e-16.
 EPS = 1e-12
 
+# parse_grid refuses grids with more points than this.
+MAX_GRID_POINTS = 100_000
+
 STRENGTH_LABELS = (
     "Negative",
     "Barely worth mentioning",
@@ -143,19 +146,16 @@ def curve_csv(rows) -> str:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse "start:stop:step" into an inclusive grid."""
+    """Parse "start:stop:step" into an inclusive grid of at most
+    MAX_GRID_POINTS points."""
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError:
         raise ValueError(f"bad grid {spec!r}, expected start:stop:step") from None
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
-    grid = []
-    k = 0
-    while True:
-        p = start + k * step
-        if p > stop + 1e-12:
-            break
-        grid.append(round(p, 12))
-        k += 1
-    return grid
+    last = (stop + 1e-12 - start) / step  # index of the last point, up to round-off
+    if last >= MAX_GRID_POINTS:
+        raise ValueError(f"bad grid {spec!r}: more than {MAX_GRID_POINTS} points")
+    points = (start + k * step for k in range(math.floor(last) + 2))
+    return [round(p, 12) for p in points if p <= stop + 1e-12]

@@ -3,10 +3,14 @@
 Deliberately independent of the factor machinery: no numpy, no variable
 elimination, just explicit enumeration of full configurations. Each CPT kind
 is evaluated directly from its own parameters rather than through expand_cpt.
+``minimal_set`` is the plain O(n * alive) scan that ``kmre.minimal_set``
+replaced, kept as the reference for its sub-assignment lookup.
 """
 
 import itertools
 import math
+
+from bnexplain.kmre import REL_TOL, DominanceVerdict
 
 
 def cpt_prob(network, name, child_state, parent_states):
@@ -95,3 +99,49 @@ def mutual_information(network, joint_table, x, y, context=None):
             if pxy > 0.0:
                 total += pxy * math.log(pxy / (px * py))
     return max(total, 0.0)
+
+
+def _close(a, b):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=1e-15)
+
+
+def minimal_set(rows):
+    """Filter rows to the minimal (undominated) set; input order is preserved.
+
+    Also returns a witness for every excluded row, keyed by its bindings.
+    """
+    by_size = {}
+    for r in rows:
+        by_size.setdefault(len(r.bindings), []).append(r)
+
+    alive = []
+    witness = {}
+    for size in sorted(by_size):
+        level_kept = []
+        for r in sorted(by_size[size], key=lambda r: r.order):
+            rb = set(r.bindings)
+            killer = None
+            for k in alive:
+                if set(k.bindings) < rb and (k.value > r.value or _close(k.value, r.value)):
+                    killer = k
+                    break
+            if killer is not None:
+                witness[r.bindings] = DominanceVerdict(
+                    "strong", killer.bindings, r.bindings, killer.value, r.value)
+            else:
+                level_kept.append(r)
+        evicted = set()
+        for r in level_kept:
+            rb = set(r.bindings)
+            for k in alive:
+                if (k.bindings not in evicted and set(k.bindings) < rb
+                        and r.value > k.value and not _close(r.value, k.value)):
+                    witness[k.bindings] = DominanceVerdict(
+                        "weak", r.bindings, k.bindings, r.value, k.value)
+                    evicted.add(k.bindings)
+        alive = [k for k in alive if k.bindings not in evicted] + level_kept
+
+    keep = {r.bindings for r in alive}
+    return [r for r in rows if r.bindings in keep], witness

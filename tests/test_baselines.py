@@ -352,3 +352,19 @@ def test_k_below_one_is_rejected(nets):
             k_map(nets["circuit"], CIRCUIT_E, k=k)
         with pytest.raises(ValueError, match="k must be at least 1"):
             BaselineParams(k=k)
+
+
+@pytest.mark.parametrize("field", ["simplify_factor", "branch_floor", "mi_threshold",
+                                   "flow_threshold", "k"])
+def test_nan_field_is_rejected(field):
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        BaselineParams(**{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["simplify_factor", "branch_floor"])
+def test_fraction_outside_unit_interval_is_rejected(field):
+    for bad in (-0.01, 1.01, 2.0, -math.inf, math.inf):
+        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\]"):
+            BaselineParams(**{field: bad})
+    for ok in (0.0, 1.0):
+        assert getattr(BaselineParams(**{field: ok}), field) == ok

@@ -10,24 +10,8 @@ def test_every_scenario_reproduces_its_goldens():
     for sid in bench.SCENARIO_IDS:
         report = bench.run_scenario(sid)
         assert report.rows, sid
-        assert report.passed, "\n" + report.text()
-
-
-def test_method_filter_restricts_rows():
-    full = bench.run_scenario("circuit")
-    only_gbf = bench.run_scenario("circuit", methods=("gbf",))
-    assert 0 < len(only_gbf.rows) < len(full.rows)
-    assert {r.label.split()[0] for r in only_gbf.rows} == {"gbf"}
-    none = bench.run_scenario("circuit", methods=())
-    assert none.rows == ()
-    assert none.passed  # vacuously
-
-
-def test_method_groups_cover_all_kinds():
-    assert set(bench.METHOD_GROUPS) >= {"gbf", "kmre", "kmap", "ksimp"}
-    for sid in bench.SCENARIO_IDS:
-        report = bench.run_scenario(sid, methods=bench.METHOD_GROUPS)
         assert len(report.rows) == len(bench.SCENARIOS[sid].expected), sid
+        assert report.passed, "\n" + report.text()
 
 
 def test_unknown_ids_are_rejected():

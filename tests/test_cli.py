@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,21 @@ def test_explain_rejects_k_below_one(capsys):
             assert "k must be at least 1" in err
 
 
+def test_explain_rejects_bad_thresholds(capsys):
+    asia = ("explain", "--fixture", "asia", "--evidence", "Dyspnea=yes")
+    for extra, message in (
+            (("--method", "kmre", "--k", "10", "--gbf-floor", "nan"), "gbf_floor"),
+            (("--method", "ksimp", "--threshold-simplify", "2"), "simplify_factor"),
+            (("--method", "ksimp", "--threshold-simplify", "nan"), "simplify_factor"),
+            (("--method", "etree", "--threshold-branch", "-0.5"), "branch_floor"),
+            (("--method", "etree", "--threshold-mi", "nan"), "mi_threshold"),
+            (("--method", "cetree", "--threshold-flow", "nan"), "flow_threshold")):
+        code, out, err = run(capsys, *asia, *extra)
+        assert code == 1, extra
+        assert out == ""
+        assert message in err, extra
+
+
 def test_explain_impossible_evidence_exit_code(capsys):
     code, _, err = run(capsys, "explain", "--fixture", "circuit",
                        "--evidence", "Input=noCurr")
@@ -246,6 +262,12 @@ def test_curve_rejects_bad_requests(capsys):
                        "--grid", "nan:1:0.1")
     assert code == 1
     assert "bad grid" in err
+    start = time.perf_counter()
+    code, _, err = run(capsys, "curve", "--fixed-delta", "0.1",
+                       "--grid", "0:0.5:1e-300")
+    assert code == 1
+    assert "more than" in err
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

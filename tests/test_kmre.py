@@ -129,7 +129,7 @@ def test_floor_is_exclusive_beyond_the_top_row(nets):
     assert len(res.rows) == 1
     assert res.rows[0].value == pytest.approx(4.0, abs=1e-9)
     # without the floor the sub-unity third row appears
-    res = k_mre(nets["circuit2"], {"E": "low"}, gbf_floor=None)
+    res = k_mre(nets["circuit2"], {"E": "low"}, gbf_floor=-math.inf)
     assert len(res.rows) == 3
     assert res.rows[2].value < 1.0
     # top row is reported even when it cannot clear the floor
@@ -148,6 +148,11 @@ def test_k_below_one_is_rejected(nets):
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be at least 1"):
             k_mre(nets["circuit"], {"Input": "current", "TotalOutput": "current"}, k=k)
+
+
+def test_nan_floor_is_rejected(nets):
+    with pytest.raises(ValueError, match="gbf_floor must be a number"):
+        k_mre(nets["asia"], {"Dyspnea": "yes"}, k=10, gbf_floor=math.nan)
 
 
 def test_result_carries_the_full_sweep(nets):

@@ -4,6 +4,7 @@ Network-level sweeps draw seeded random networks and check the distributional
 identities against a brute-force joint; the engine itself is held to the
 enumeration oracle in the module-specific suites.
 """
+import dataclasses
 import itertools
 import math
 import random
@@ -17,6 +18,8 @@ from bnexplain.kmre import dominates, minimal_set
 from bnexplain.model import Network, TableCpt, Variable, d_separated
 from bnexplain.relevance import gbf, gbf_from_probs
 from bnexplain.search import enumerate_explanations, score_all
+
+import oracle
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +373,33 @@ def test_minimal_set_audit_on_random_networks():
         by_bindings = {r.bindings: r for r in rows}
         for loser, v in witnesses.items():
             assert dominates(by_bindings[v.winner], by_bindings[loser]) == v.relation
+
+
+def _assert_minimal_set_matches_reference(rows, rng):
+    """kmre.minimal_set against the reference scan, on the rows as given and
+    with each row's bindings in a shuffled order."""
+    shuffled = [dataclasses.replace(r, bindings=tuple(rng.sample(r.bindings, len(r.bindings))))
+                for r in rows]
+    for case in (rows, shuffled):
+        kept, witnesses = minimal_set(case)
+        want_kept, want_witnesses = oracle.minimal_set(case)
+        assert [r.bindings for r in kept] == [r.bindings for r in want_kept]
+        assert list(witnesses.items()) == list(want_witnesses.items())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_minimal_set_matches_the_reference_scan(seed, coarse):
+    rng = random.Random(seed)
+    net = random_net(rng, max_vars=6, roles=True)
+    last = net.names()[-1]
+    rows = score_all(net, {last: net.states(last)[0]})
+    if coarse:  # round scores so that exact and near ties are common
+        rows = [dataclasses.replace(r, value=round(r.value, 1)) for r in rows]
+    _assert_minimal_set_matches_reference(rows, rng)
+
+
+def test_minimal_set_matches_the_reference_scan_on_scenarios(nets, scenarios):
+    rng = random.Random(7)
+    for _, fid, evidence in scenarios:
+        _assert_minimal_set_matches_reference(score_all(nets[fid], evidence), rng)

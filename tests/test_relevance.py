@@ -4,6 +4,7 @@ import pytest
 
 import oracle
 from bnexplain.relevance import (
+    MAX_GRID_POINTS,
     GbfScore,
     belief_update_ratio,
     cbf,
@@ -230,3 +231,8 @@ def test_parse_grid():
                  "0:1:inf"):
         with pytest.raises(ValueError, match="bad grid"):
             parse_grid(spec)
+    # too many points: refused before any point is built
+    for spec in ("0:0.5:1e-300", "0:1:1e-6", "-1e308:1e308:1"):
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            parse_grid(spec)
+    assert len(parse_grid("0:0.99999:0.00001")) == MAX_GRID_POINTS
