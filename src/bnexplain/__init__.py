@@ -30,7 +30,6 @@ from .infer import (
     marginal,
     mutilate,
     prob,
-    prob_do,
     query,
 )
 from .relevance import (
@@ -102,7 +101,6 @@ __all__ = [
     "mutilate",
     "parse_network",
     "prob",
-    "prob_do",
     "query",
     "run_scenario",
     "score_all",

@@ -7,6 +7,7 @@ precisely; see the docstrings of the individual methods.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -16,7 +17,7 @@ import numpy as np
 from . import infer
 from .infer import ExplanationTables, Factor, explanation_tables, query, sum_to
 from .model import Assignment, Network
-from .search import ScoredExplanation
+from .search import ScoredExplanation, _check_k
 
 # Sort keys round scores to this many significant digits, so that ties which
 # are exact in real arithmetic survive round-off while tiny joints and
@@ -56,11 +57,6 @@ class BaselineParams:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         _check_k(self.k)
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +99,15 @@ def k_simp(network: Network, evidence: Assignment,
            params: BaselineParams = BaselineParams()) -> list[ScoredExplanation]:
     """Simplified MAP solutions.
 
-    Each of the k MAP configurations is shrunk greedily: a variable may be
-    deleted while the evidence likelihood of the reduced assignment stays
-    within (1 - simplify_factor) of the ORIGINAL solution's likelihood. Each
-    step deletes the variable leaving the highest likelihood (ties delete the
-    latest-declared variable). Identical results are deduplicated; output is
+    Each of the k MAP configurations with P(x, e) > 0 is shrunk greedily: a
+    variable may be deleted while the evidence likelihood of the reduced
+    assignment stays within (1 - simplify_factor) of the ORIGINAL solution's
+    likelihood. Each step deletes the variable leaving the highest likelihood
+    (ties delete the latest-declared variable). Identical results are deduplicated; output is
     ranked by likelihood, then by fewer variables.
     """
     tables = explanation_tables(network, evidence)
-    maps = _k_map(network, tables, params.k)
+    maps = [m for m in _k_map(network, tables, params.k) if m.value > 0.0]
     declared = {name: i for i, name in enumerate(network.names())}
 
     results = []
@@ -210,13 +206,19 @@ def explanation_tree(network: Network, evidence: Assignment,
     to reach mi_threshold and the branch to have conditional mass above
     branch_floor. Branch labels are P(branch | e).
 
-    Everything but the last-level criterion is a slice of P(T, e).
+    The last-level criterion is a slice of P(T, E) over the evidence variables
+    E, built when a node first reaches the last level. Everything else is a
+    slice of P(T, e).
     """
     evidence_vars = tuple(sorted(evidence))
     tables = explanation_tables(network, evidence)
 
     def joint(branch, keep=()):
         return sum_to(network, tables.joint, keep, branch)
+
+    @functools.cache
+    def joint_te():
+        return query(network, tables.targets + evidence_vars)
 
     def pick(unused, branch):
         pair_mi = {pair: infer.table_mutual_information(joint(branch, pair))
@@ -227,7 +229,8 @@ def explanation_tree(network: Network, evidence: Assignment,
             if others:
                 crit = max(pair_mi[tuple(sorted((v, u)))] for u in others)
             else:
-                crit = infer.set_mutual_information(network, v, evidence_vars, branch)
+                te = sum_to(network, joint_te(), (v,) + evidence_vars, branch)
+                crit = infer.table_mutual_information(te.reshape(network.card(v), -1))
             ent = _entropy(joint(branch, (v,)))
             ranked.append((-crit, -ent, v))
         ranked.sort()
@@ -244,24 +247,24 @@ def explanation_tree(network: Network, evidence: Assignment,
 class _CausalFlows:
     """Causal flow of the variables of `joint` at branches over the others.
 
-    `joint` holds P(scope, e). The outcome table of each intervention
-    (variable, state) is computed once, on the mutilated network, over the
-    other scope variables plus the evidence variables, and sliced by branch.
+    `joint` holds P(scope, e). Each variable's outcome table is one VE run on
+    the network with its incoming arcs cut, over the scope and the evidence
+    variables; its slice at {**branch, var: state} is do(var = state) scaled
+    by the cut variable's uniform prior, which the normalisation cancels.
     """
 
     def __init__(self, network: Network, joint: Factor, evidence_vars: tuple[str, ...]):
         self.network = network
         self.joint = joint
         self.evidence_vars = evidence_vars
-        self._outcomes: dict[tuple[str, str], Factor] = {}
+        self._outcomes: dict[str, Factor] = {}
 
-    def _outcome(self, var: str, state: str) -> Factor:
-        key = (var, state)
-        if key not in self._outcomes:
+    def _outcome(self, var: str) -> Factor:
+        if var not in self._outcomes:
             others = tuple(v for v in self.joint.scope if v != var)
-            mnet = infer.mutilate(self.network, {var: state})
-            self._outcomes[key] = query(mnet, others + self.evidence_vars)
-        return self._outcomes[key]
+            mnet = infer.mutilate(self.network, (var,))
+            self._outcomes[var] = query(mnet, (var,) + others + self.evidence_vars)
+        return self._outcomes[var]
 
     def flow(self, var: str, branch: Assignment) -> float:
         net = self.network
@@ -274,7 +277,8 @@ class _CausalFlows:
         for i, state in enumerate(net.states(var)):
             if w[i] == 0.0:
                 continue
-            d = sum_to(net, self._outcome(var, state), self.evidence_vars, branch).ravel()
+            d = sum_to(net, self._outcome(var), self.evidence_vars,
+                       {**branch, var: state}).ravel()
             pc = d.sum()
             if pc == 0.0:
                 continue  # intervention makes the branch impossible
@@ -300,6 +304,8 @@ def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
     divergence is the symmetrized KL of each outcome distribution against
     the weighted mixture, restricted to each intervention's support.
     """
+    if var in branch or var in evidence_vars:
+        raise ValueError(f"{var!r} is bound by the branch or among the evidence variables")
     joint = query(network, (var, *branch), evidence)
     return _CausalFlows(network, joint, tuple(evidence_vars)).flow(var, branch)
 

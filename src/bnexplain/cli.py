@@ -44,10 +44,6 @@ def _score_str(x: float) -> str:
     return f"{x:.2f}" if abs(x) >= 10 else f"{x:.4f}"
 
 
-def _fmt_bindings(bindings) -> str:
-    return "(" + ", ".join(f"{v}={s}" for v, s in sorted(bindings)) + ")"
-
-
 def _load(args) -> Network:
     if args.fixture:
         return bench.fixture(args.fixture)
@@ -87,10 +83,10 @@ def _row_doc(r: ScoredExplanation) -> dict:
 def _rows_text(rows: list[ScoredExplanation]) -> str:
     if not rows:
         return "(no explanations)"
-    width = max(len(_fmt_bindings(r.bindings)) for r in rows)
+    width = max(len(bench._fmt(r.bindings)) for r in rows)
     lines = []
     for i, r in enumerate(rows, 1):
-        line = f"{i:>2}  {_fmt_bindings(r.bindings):<{width}}  {_score_str(r.value):>9}"
+        line = f"{i:>2}  {bench._fmt(r.bindings):<{width}}  {_score_str(r.value):>9}"
         if r.strength is not None:
             line += f"  {r.strength}"
         lines.append(line)
@@ -154,9 +150,9 @@ def _cmd_explain(args) -> int:
         if pruned_doc:
             print("pruned near the top:")
             for v in pruned_doc:
-                print(f"    {_fmt_bindings(v.loser)} {_score_str(v.loser_value)}"
+                print(f"    {bench._fmt(v.loser)} {_score_str(v.loser_value)}"
                       f"  dominated ({v.relation}) by"
-                      f" {_fmt_bindings(v.winner)} {_score_str(v.winner_value)}")
+                      f" {bench._fmt(v.winner)} {_score_str(v.winner_value)}")
     return 0
 
 

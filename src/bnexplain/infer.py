@@ -1,4 +1,5 @@
-"""Exact probabilistic queries: marginal, conditional, likelihood, and do-queries.
+"""Exact probabilistic queries: marginal, conditional, likelihood, and graph
+surgery for interventions.
 
 Production inference is variable elimination with a min-fill ordering; the
 brute-force joint is kept as a testing oracle. The explanation methods read
@@ -9,6 +10,7 @@ nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -104,6 +106,8 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
         network.var(v)
         if v in condition:
             raise ValueError(f"{v!r} is both queried and conditioned on")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"a variable is queried twice in {tuple(variables)}")
 
     factors = []
     for name in network.names():
@@ -213,31 +217,27 @@ def marginal(network: Network, variables: tuple[str, ...], evidence: Assignment 
     return Factor(f.scope, f.values / z)
 
 
-def mutilate(network: Network, intervention: Assignment) -> Network:
-    """Graph surgery for do-queries: point-mass CPTs, incoming arcs severed."""
-    check_assignment(network, intervention)
+def mutilate(network: Network, variables: Iterable[str]) -> Network:
+    """Graph surgery: each named variable loses its incoming arcs and gets a
+    uniform prior.
+
+    The result is a valid network in which conditioning on v = s is the
+    intervention do(v = s) (truncated factorization): P'(y | v = s) =
+    P(y | do(v = s)). A do-query is prob(mutilate(net, do), event,
+    {**evidence, **do}).
+    """
+    if isinstance(variables, str):
+        raise ValueError(f"mutilate takes a collection of names, got the string {variables!r}")
+    cut = set(variables)
+    for v in cut:
+        network.var(v)
     cpts = []
     for cpt in network.cpts:
-        if cpt.child in intervention:
-            states = network.states(cpt.child)
-            row = tuple(1.0 if s == intervention[cpt.child] else 0.0 for s in states)
-            cpts.append(TableCpt(child=cpt.child, parents=(), rows=row))
-        else:
-            cpts.append(cpt)
+        if cpt.child in cut:
+            n = network.card(cpt.child)
+            cpt = TableCpt(child=cpt.child, parents=(), rows=(1.0 / n,) * n)
+        cpts.append(cpt)
     return Network(variables=network.variables, cpts=tuple(cpts))
-
-
-def prob_do(network: Network, event: Assignment, evidence: Assignment | None,
-            intervention: Assignment) -> float:
-    """P(event | evidence) in the mutilated network.
-
-    Querying an intervened variable is allowed (its post-surgery CPT is a
-    point mass, so the answer is 1 or 0); evidence may not mention it.
-    """
-    for v in evidence or {}:
-        if v in intervention:
-            raise ValueError(f"{v!r} is both intervened on and observed")
-    return prob(mutilate(network, intervention), event, evidence)
 
 
 def brute_force_joint(network: Network, cap: int = 2 ** 24) -> Factor:
@@ -257,14 +257,6 @@ def brute_force_joint(network: Network, cap: int = 2 ** 24) -> Factor:
 
 # ---------------------------------------------------------------------------
 # information measures (nats)
-
-def set_mutual_information(network: Network, x: str, others,
-                           context: Assignment | None = None) -> float:
-    """I(x; others jointly | context)."""
-    others = tuple(sorted(others))
-    f = query(network, (x,) + others, context)
-    return table_mutual_information(f.values.reshape(network.card(x), -1))
-
 
 def table_mutual_information(table: np.ndarray) -> float:
     """I(rows; columns) of an unnormalized 2-D table; 0 for an all-zero table."""

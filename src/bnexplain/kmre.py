@@ -127,8 +127,7 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
     their first representative. The best row is always reported; further rows
     must score above the floor. gbf_floor=-inf disables the floor.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    search._check_k(k)
     if math.isnan(gbf_floor):
         raise ValueError("gbf_floor must be a number, got nan")
     scored = search.score_all(network, evidence)

@@ -93,7 +93,7 @@ class Network:
         try:
             return self._vars[name]
         except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
+            raise ValueError(f"unknown variable {name!r}") from None
 
     def states(self, name: str) -> tuple[str, ...]:
         return self.var(name).states

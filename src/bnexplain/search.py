@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -56,6 +57,11 @@ def candidate_count(network: Network) -> int:
     for v in network.targets:
         n *= network.card(v) + 1
     return n - 1
+
+
+def _check_k(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be at least 1 and an integer, got {k!r}")
 
 
 def _rank(row: ScoredExplanation):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import oracle
+from bnexplain import baselines, infer
 from bnexplain.baselines import (
     BaselineParams,
     TreeBranch,
@@ -16,6 +17,7 @@ from bnexplain.baselines import (
     tree_doc,
 )
 from bnexplain.infer import ImpossibleEvidenceError, likelihood, prob
+from bnexplain.model import DeterministicCpt, Network, TableCpt, Variable
 
 CIRCUIT_E = {"Input": "current", "TotalOutput": "current"}
 
@@ -70,7 +72,6 @@ def test_kmap_scores_are_joints(nets, joints):
 
 
 def test_kmap_requires_targets(nets):
-    from bnexplain.model import Network, TableCpt, Variable
     net = Network(
         variables=(Variable("X", ("a", "b"), "observation"),),
         cpts=(TableCpt(child="X", parents=(), rows=(0.5, 0.5)),),
@@ -81,7 +82,6 @@ def test_kmap_requires_targets(nets):
 
 def test_tiny_scores_rank_by_size():
     # joints and likelihoods far below 1e-10 must not tie
-    from bnexplain.model import Network, TableCpt, Variable
     net = Network(
         variables=(Variable("T", ("a", "b"), "target"),
                    Variable("O", ("y", "n"), "observation")),
@@ -98,6 +98,19 @@ def test_tiny_scores_rank_by_size():
 
 # ---------------------------------------------------------------------------
 # K-SIMP
+
+def copied_target():
+    """Target Y is a deterministic copy of target X and O observes Y, so K-MAP
+    pads its rows with the impossible (X, Y) = (a, b) and (b, a)."""
+    return Network(
+        variables=(Variable("X", ("a", "b"), "target"), Variable("Y", ("a", "b"), "target"),
+                   Variable("O", ("on", "off"), "observation")),
+        cpts=(TableCpt(child="X", parents=(), rows=(0.5, 0.5)),
+              DeterministicCpt(child="Y", parents=("X",), default_state="a",
+                               exceptions=((("b",), "b"),)),
+              TableCpt(child="O", parents=("Y",), rows=(0.9, 0.1, 0.2, 0.8))),
+    )
+
 
 def test_ksimp_circuit(nets):
     rows = k_simp(nets["circuit"], CIRCUIT_E)
@@ -135,6 +148,20 @@ def test_ksimp_scores_are_likelihoods(nets):
     for row in rows:
         assert row.value == pytest.approx(
             likelihood(nets["circuit"], CIRCUIT_E, row.assignment()), abs=1e-12)
+
+
+def test_ksimp_seeds_only_possible_map_rows():
+    net, evidence = copied_target(), {"O": "on"}
+    jt = oracle.joint(net)
+    assert [r.value for r in k_map(net, evidence, k=4)][2:] == [0.0, 0.0]
+    rows = k_simp(net, evidence, BaselineParams(k=4))
+    # each possible MAP row keeps its likelihood without Y, the later-declared
+    # of two equally good deletions
+    assert [r.bindings for r in rows] == [(("X", "a"),), (("X", "b"),)]
+    for r in rows:
+        x = r.assignment()
+        want = oracle.mass(net, jt, {**x, **evidence}) / oracle.mass(net, jt, x)
+        assert r.value == pytest.approx(want, abs=1e-12)
 
 
 def test_ksimp_honors_simplify_factor(nets):
@@ -298,6 +325,52 @@ def test_cet_flow_threshold_prunes(nets):
     assert all(b.child is None for b in node.branches)
 
 
+def _count_queries(monkeypatch) -> list:
+    """Record the variables of every VE run made through infer.query."""
+    calls = []
+    real = infer.query
+
+    def counted(network, variables=(), condition=None):
+        calls.append(variables)
+        return real(network, variables, condition)
+
+    monkeypatch.setattr(infer, "query", counted)
+    monkeypatch.setattr(baselines, "query", counted)
+    return calls
+
+
+def _reaches_last_level(node, n, floor, depth=0) -> bool:
+    """Whether ET chose a variable with one unused target left: the root when
+    n == 1, else a branch binding n - 1 targets with P(branch | e) > floor."""
+    if n == 1:
+        return True
+    if node is None:
+        return False
+    if depth == n - 2:
+        return any(b.label > floor for b in node.branches)
+    return any(_reaches_last_level(b.child, n, floor, depth + 1) for b in node.branches)
+
+
+def test_trees_make_a_fixed_number_of_ve_runs(monkeypatch, nets, scenarios):
+    # CET: P(T), P(T, e) and one outcome table per unobserved target. ET:
+    # P(T) and P(T, e), plus P(T, E) once some node reaches the last level.
+    calls = _count_queries(monkeypatch)
+    et_runs = set()
+    for params in (BaselineParams(), BaselineParams(mi_threshold=0.0, flow_threshold=0.0)):
+        for sid, fid, evidence in scenarios:
+            net = nets[fid]
+            n = sum(t not in evidence for t in net.targets)
+            calls.clear()
+            causal_explanation_tree(net, evidence, params)
+            assert len(calls) == 2 + n, (sid, params)
+            calls.clear()
+            tree = explanation_tree(net, evidence, params)
+            assert len(calls) == 2 + _reaches_last_level(tree, n, params.branch_floor), \
+                (sid, params)
+            et_runs.add(len(calls))
+    assert et_runs == {2, 3}
+
+
 def test_causal_flow_zero_without_directed_path(nets):
     # gate D cannot influence the other gates
     got = causal_flow(nets["circuit"], "D", ("A",), {}, CIRCUIT_E)
@@ -344,6 +417,15 @@ def test_baseline_params_defaults():
     assert p.mi_threshold == 0.05
     assert p.flow_threshold == 0.01
     assert p.k == 3
+
+
+def test_k_must_be_an_integer(nets):
+    for k in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="k must be at least 1 and an integer"):
+            k_map(nets["circuit"], CIRCUIT_E, k=k)
+    for k in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="k must be at least 1 and an integer"):
+            BaselineParams(k=k)
 
 
 def test_k_below_one_is_rejected(nets):

@@ -6,6 +6,7 @@ import pytest
 from bnexplain import bench
 from bnexplain.cli import main
 from bnexplain.model import parse_network, serialize_network
+from test_baselines import copied_target
 
 
 def run(capsys, *argv):
@@ -160,6 +161,18 @@ def test_explain_loads_network_file(capsys, tmp_path):
                        "--evidence", "Dyspnea=yes")
     assert code == 0
     assert "(Bronchitis=yes)" in out
+
+
+def test_ksimp_skips_impossible_map_rows(capsys, tmp_path):
+    # K-MAP pads k = 4 rows with two configurations of probability 0
+    path = tmp_path / "copy.json"
+    path.write_text(serialize_network(copied_target()))
+    source = ("--network", str(path))
+    assert run(capsys, "validate", *source)[0] == 0
+    code, out, err = run(capsys, "explain", *source, "--method", "ksimp", "--k", "4",
+                         "--evidence", "O=on")
+    assert code == 0, err
+    assert out.split() == ["1", "(X=a)", "0.9000", "2", "(X=b)", "0.2000"]
 
 
 def test_explain_rejects_mistyped_network_file(capsys, tmp_path):

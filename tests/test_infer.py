@@ -13,9 +13,8 @@ from bnexplain.infer import (
     marginal,
     mutilate,
     prob,
-    prob_do,
     query,
-    set_mutual_information,
+    table_mutual_information,
 )
 from bnexplain.baselines import causal_flow
 from bnexplain.model import DeterministicCpt, Network, TableCpt, Variable, validate
@@ -181,10 +180,25 @@ def test_scalar_factor_item():
 def test_query_rejects_overlap(nets):
     with pytest.raises(ValueError, match="queried and conditioned"):
         query(nets["asia"], ("Smoking",), {"Smoking": "yes"})
+    with pytest.raises(ValueError, match="queried twice"):
+        query(nets["asia"], ("Smoking", "XRay", "Smoking"))
 
 
 # ---------------------------------------------------------------------------
 # interventions
+
+def _point_mass(net, var, state):
+    """net with var's CPT replaced by a point mass at state, built by hand."""
+    rows = tuple(1.0 if s == state else 0.0 for s in net.states(var))
+    cpts = tuple(TableCpt(child=var, parents=(), rows=rows) if c.child == var else c
+                 for c in net.cpts)
+    return Network(variables=net.variables, cpts=cpts)
+
+
+def _do(net, event, intervention):
+    """P(event | do(intervention)) by surgery and conditioning."""
+    return prob(mutilate(net, intervention), event, intervention)
+
 
 def test_root_intervention_equals_conditioning(nets):
     for fid, net in nets.items():
@@ -194,40 +208,80 @@ def test_root_intervention_equals_conditioning(nets):
             state = net.states(root)[1]
         probe = next(n for n in net.names() if n != root)
         event = {probe: net.states(probe)[0]}
-        assert prob_do(net, event, None, {root: state}) == pytest.approx(
+        assert _do(net, event, {root: state}) == pytest.approx(
             prob(net, event, {root: state}), abs=1e-9), fid
 
 
 def test_intervened_variable_is_certain(nets):
-    assert prob_do(nets["asia"], {"Bronchitis": "yes"}, None, {"Bronchitis": "yes"}) == \
+    assert _do(nets["asia"], {"Bronchitis": "yes"}, {"Bronchitis": "yes"}) == \
         pytest.approx(1.0, abs=1e-12)
-    assert prob_do(nets["asia"], {"Bronchitis": "no"}, None, {"Bronchitis": "yes"}) == \
-        pytest.approx(0.0, abs=1e-12)
+    # the other state contradicts the conditioning, which prob refuses
+    with pytest.raises(ValueError, match="bound to both"):
+        _do(nets["asia"], {"Bronchitis": "no"}, {"Bronchitis": "yes"})
 
 
 def test_intervention_on_evidence_variable_rejected(nets):
-    with pytest.raises(ValueError, match="intervened"):
-        prob_do(nets["asia"], {"Dyspnea": "yes"}, {"Bronchitis": "no"}, {"Bronchitis": "yes"})
+    # causal flow intervenes on var and reads the evidence variables: var may
+    # not be one of them, nor be bound by the branch
+    net = nets["asia"]
+    with pytest.raises(ValueError, match="evidence variables"):
+        causal_flow(net, "Bronchitis", ("Bronchitis", "Dyspnea"), {}, {})
+    with pytest.raises(ValueError, match="bound by the branch"):
+        causal_flow(net, "Bronchitis", ("Dyspnea",), {"Bronchitis": "yes"}, {})
 
 
-def test_do_bronchitis_vs_conditioning(nets, joints):
+def test_do_bronchitis_vs_conditioning(nets):
     # smoking confounds Bronchitis and LungCancer, so surgery and
     # conditioning disagree on the lung-cancer side
     net = nets["asia"]
-    mnet = mutilate(net, {"Bronchitis": "yes"})
-    mjoint = oracle.joint(mnet)
-    did = prob_do(net, {"Dyspnea": "yes"}, None, {"Bronchitis": "yes"})
-    assert did == pytest.approx(oracle.prob(mnet, mjoint, {"Dyspnea": "yes"}), abs=1e-9)
+    pnet = _point_mass(net, "Bronchitis", "yes")
+    did = _do(net, {"Dyspnea": "yes"}, {"Bronchitis": "yes"})
+    assert did == pytest.approx(oracle.prob(pnet, oracle.joint(pnet), {"Dyspnea": "yes"}),
+                                abs=1e-9)
     saw = prob(net, {"Dyspnea": "yes"}, {"Bronchitis": "yes"})
     assert abs(did - saw) > 1e-4
 
 
-def test_mutilated_cpt_is_point_mass(nets):
-    mnet = mutilate(nets["asia"], {"Smoking": "no"})
-    cpt = mnet.cpt("Smoking")
-    assert cpt.parents == ()
-    assert cpt.rows == (0.0, 1.0)
+def test_surgery_matches_point_mass_network(nets):
+    # conditioning the mutilated network on v = s equals the network whose
+    # CPT of v is a point mass at s, for a root and a non-root variable of
+    # every fixture: targets where the fixture has them, else another
+    # unobserved variable
+    for fid, net in nets.items():
+        roots = set(_roots(net))
+        free = net.targets + tuple(n for n in net.names() if n not in net.observations)
+        picks = (next(v for v in free if v in roots), next(v for v in free if v not in roots))
+        for v in picks:
+            probe = net.observations[-1]
+            mnet = mutilate(net, {v})
+            for s in net.states(v):
+                pnet = _point_mass(net, v, s)
+                pjoint = oracle.joint(pnet)
+                for e in net.states(probe):
+                    want = oracle.prob(pnet, pjoint, {probe: e})
+                    got = prob(mnet, {probe: e}, {v: s})
+                    assert got == pytest.approx(want, abs=1e-12), (fid, v, s, e)
+
+
+def test_mutilated_cpt_is_uniform_root(nets):
+    net = nets["asia"]
+    mnet = mutilate(net, ("Smoking", "Bronchitis"))
+    for v in ("Smoking", "Bronchitis"):
+        cpt = mnet.cpt(v)
+        assert cpt.parents == ()
+        assert cpt.rows == (0.5, 0.5)
+    assert mnet.cpt("Dyspnea") == net.cpt("Dyspnea")
     assert validate(mnet) == []
+    three = mutilate(nets["academe"], ("Theory",)).cpt("Theory")
+    assert three.parents == () and three.rows == (1 / 3,) * 3
+    with pytest.raises(ValueError, match="unknown variable"):
+        mutilate(net, ("NoSuch",))
+    # a bare string is not read as its characters, here the variables A and B
+    ab = Network(variables=(Variable("A", ("0", "1")), Variable("B", ("0", "1"))),
+                 cpts=(TableCpt(child="A", parents=(), rows=(0.3, 0.7)),
+                       TableCpt(child="B", parents=("A",), rows=(0.9, 0.1, 0.2, 0.8))))
+    with pytest.raises(ValueError, match="collection of names"):
+        mutilate(ab, "AB")
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +296,14 @@ def _copy_pair(p0):
     )
 
 
+def _mi(net, x, others, context=None):
+    """I(x; others jointly | context) from one VE table."""
+    f = query(net, (x,) + tuple(others), context)
+    return table_mutual_information(f.values.reshape(net.card(x), -1))
+
+
 def test_mutual_information_of_copied_pair():
-    assert set_mutual_information(_copy_pair(0.5), "X", ("Y",)) == pytest.approx(
-        math.log(2.0), abs=1e-12)
+    assert _mi(_copy_pair(0.5), "X", ("Y",)) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_mutual_information_of_independent_pair():
@@ -253,26 +312,26 @@ def test_mutual_information_of_independent_pair():
         cpts=(TableCpt(child="X", parents=(), rows=(0.3, 0.7)),
               TableCpt(child="Y", parents=(), rows=(0.6, 0.4))),
     )
-    assert set_mutual_information(net, "X", ("Y",)) == pytest.approx(0.0, abs=1e-12)
+    assert _mi(net, "X", ("Y",)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_is_symmetric(nets):
     net = nets["asia"]
-    a = set_mutual_information(net, "Bronchitis", ("LungCancer",), {"Dyspnea": "yes"})
-    b = set_mutual_information(net, "LungCancer", ("Bronchitis",), {"Dyspnea": "yes"})
+    a = _mi(net, "Bronchitis", ("LungCancer",), {"Dyspnea": "yes"})
+    b = _mi(net, "LungCancer", ("Bronchitis",), {"Dyspnea": "yes"})
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_set_mutual_information_collapses_to_pairwise(nets, joints):
+def test_table_mutual_information_matches_oracle(nets, joints):
     net = nets["academe"]
     for y in ("Practice", "Extra", "OtherFactors"):
         for context in ({}, {"FinalMark": "fail"}):
-            got = set_mutual_information(net, "Theory", (y,), context)
+            got = _mi(net, "Theory", (y,), context)
             want = oracle.mutual_information(net, joints["academe"], "Theory", y, context)
             assert got == pytest.approx(want, abs=1e-9), (y, context)
 
 
-def test_set_mutual_information_of_a_pair_of_others(nets, joints):
+def test_table_mutual_information_of_a_pair_of_others(nets, joints):
     # I(x; {y, z}) by enumeration over the joint states of (y, z)
     net, table = nets["asia"], joints["asia"]
     x, others = "Bronchitis", ("Dyspnea", "XRay")
@@ -284,8 +343,7 @@ def test_set_mutual_information_of_a_pair_of_others(nets, joints):
             pxyz = oracle.mass(net, table, {x: sx, **rest})
             if pxyz > 0.0:
                 want += pxyz * math.log(pxyz / (px * oracle.mass(net, table, rest)))
-    got = set_mutual_information(net, x, others)
-    assert got == pytest.approx(want, abs=1e-9)
+    assert _mi(net, x, others) == pytest.approx(want, abs=1e-9)
 
 
 def _symmetrized_flow(weights, dists):
@@ -315,9 +373,9 @@ def test_flow_matches_oracle_on_asia(nets, joints):
     net = nets["asia"]
     dists = []
     for s in net.states("Bronchitis"):
-        mnet = mutilate(net, {"Bronchitis": s})
-        mjoint = oracle.joint(mnet)
-        dists.append([oracle.prob(mnet, mjoint, {"Dyspnea": d})
+        pnet = _point_mass(net, "Bronchitis", s)
+        pjoint = oracle.joint(pnet)
+        dists.append([oracle.prob(pnet, pjoint, {"Dyspnea": d})
                       for d in net.states("Dyspnea")])
     for evidence in ({}, {"Dyspnea": "yes"}, {"XRay": "abnormal"}):
         weights = [oracle.prob(net, joints["asia"], {"Bronchitis": s}, evidence)

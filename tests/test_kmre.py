@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bnexplain.kmre import REL_TOL, DominanceVerdict, dominates, k_mre, minimal_set
@@ -148,6 +149,15 @@ def test_k_below_one_is_rejected(nets):
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be at least 1"):
             k_mre(nets["circuit"], {"Input": "current", "TotalOutput": "current"}, k=k)
+
+
+def test_k_must_be_an_integer(nets):
+    evidence = {"Dyspnea": "yes"}
+    for k in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="k must be at least 1 and an integer"):
+            k_mre(nets["asia"], evidence, k=k)
+    assert k_mre(nets["asia"], evidence, k=np.int64(2)).rows == k_mre(nets["asia"], evidence,
+                                                                      k=2).rows
 
 
 def test_nan_floor_is_rejected(nets):

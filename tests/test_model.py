@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import bnexplain
 from bnexplain import bench
-from bnexplain.infer import query
+from bnexplain.baselines import causal_explanation_tree, causal_flow, explanation_tree
+from bnexplain.infer import explanation_tables, mutilate, prob, query
+from bnexplain.kmre import k_mre
 from bnexplain.model import (
     DeterministicCpt,
     Network,
@@ -126,10 +128,29 @@ def test_deterministic_exception_must_bind_every_parent():
 
 def test_check_assignment_rejects_unknowns(nets):
     net = nets["asia"]
-    with pytest.raises(KeyError, match="unknown variable"):
+    with pytest.raises(ValueError, match="unknown variable"):
         check_assignment(net, {"NoSuchVar": "yes"})
     with pytest.raises(ValueError, match="not a state"):
         check_assignment(net, {"Smoking": "maybe"})
+
+
+def test_unknown_names_raise_value_error(nets):
+    net, bad = nets["asia"], {"Nope": "yes"}
+    calls = (
+        lambda: k_mre(net, bad),
+        lambda: query(net, ("Nope",)),
+        lambda: prob(net, bad),
+        lambda: explanation_tables(net, bad),
+        lambda: explanation_tree(net, bad),
+        lambda: causal_explanation_tree(net, bad),
+        lambda: causal_flow(net, "Nope", ("Dyspnea",), {}, {}),
+        lambda: causal_flow(net, "Bronchitis", ("Nope",), {}, {}),
+        lambda: mutilate(net, ("Nope",)),
+        lambda: d_separated(net, {"Nope"}, {"XRay"}, set()),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown variable 'Nope'"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +326,7 @@ def test_d_separation_examples(nets):
     circuit = nets["circuit"]
     assert d_separated(circuit, {"A"}, {"B"}, set())
     assert not d_separated(circuit, {"A"}, {"B"}, {"TotalOutput"})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown variable"):
         d_separated(asia, {"NoSuch"}, {"XRay"}, set())
 
 
