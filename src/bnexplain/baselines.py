@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,7 +41,9 @@ class BaselineParams:
     flow_threshold: minimum CET causal flow for a non-root node.
     k: number of solutions (MAP seeds, reported rows).
 
-    No field may be NaN; simplify_factor and branch_floor lie in [0, 1].
+    Each threshold is a real number other than NaN, simplify_factor and
+    branch_floor lie in [0, 1], and k is an integer of at least 1; anything
+    else raises ValueError.
     """
 
     simplify_factor: float = 0.05
@@ -51,8 +54,12 @@ class BaselineParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if math.isnan(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a number, got nan")
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real):
+                if math.isnan(value):
+                    raise ValueError(f"{f.name} must be a number, got nan")
+            elif f.name != "k":  # _check_k names what k must be
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("simplify_factor", "branch_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")

@@ -39,11 +39,9 @@ class Factor:
 
 
 def cpt_factor(network: Network, name: str) -> Factor:
-    """CPT as a factor with scope parents + (child,)."""
-    cpt = expand_cpt(network, network.cpt(name))
-    shape = [network.card(p) for p in cpt.parents] + [network.card(name)]
-    values = np.asarray(cpt.rows, dtype=float).reshape(shape)
-    return Factor(scope=cpt.parents + (name,), values=values)
+    """CPT as a factor with scope parents + (child,), lowered by `expand_cpt`."""
+    cpt = network.cpt(name)
+    return Factor(scope=cpt.parents + (name,), values=expand_cpt(network, cpt))
 
 
 def multiply(a: Factor, b: Factor) -> Factor:
@@ -70,28 +68,47 @@ def restrict(f: Factor, var: str, index: int) -> Factor:
 
 
 def _minfill_order(scopes: list[tuple[str, ...]], keep: set[str]) -> list[str]:
-    """Elimination order by min-fill, lexicographic tie-break."""
+    """Elimination order by min-fill, lexicographic tie-break.
+
+    Each step eliminates the variable outside `keep` whose neighbours lack
+    the fewest edges among themselves (ties: smallest name), then joins those
+    neighbours. Fill counts are kept up to date rather than recounted
+    (Kjaerulff 1990): eliminating v changes only the counts of the common
+    neighbours of each fill-in edge, which lose that unjoined pair, and of
+    v's neighbours, which also lose their unjoined pairs with v and gain
+    those with their new neighbours.
+    """
     adj: dict[str, set[str]] = {}
     for sc in scopes:
         for v in sc:
             adj.setdefault(v, set()).update(u for u in sc if u != v)
     todo = set(adj) - keep
+    count = {}
+    for v in todo:
+        ns = adj[v]
+        count[v] = (len(ns) * (len(ns) - 1) - sum(len(adj[u] & ns) for u in ns)) // 2
     order = []
     while todo:
-        def fill(v):
-            ns = [u for u in adj[v]]
-            return sum(1 for i in range(len(ns)) for j in range(i + 1, len(ns))
-                       if ns[j] not in adj[ns[i]])
-        v = min(todo, key=lambda u: (fill(u), u))
+        v = min(todo, key=lambda u: (count[u], u))
+        todo.remove(v)
+        order.append(v)
         ns = adj.pop(v)
         for u in ns:
             adj[u].discard(v)
+        fills = [(a, b) for a in ns for b in ns if a < b and b not in adj[a]]
+        for a, b in fills:
+            for x in adj[a] & adj[b]:
+                if x in todo:
+                    count[x] -= 1
         for u in ns:
-            for w in ns:
-                if u != w:
-                    adj[u].add(w)
-        todo.remove(v)
-        order.append(v)
+            if u in todo:
+                # u's unjoined pairs with v go; each new neighbour w brings one
+                # with every neighbour of u outside ns that w is not joined to.
+                outside = adj[u] - ns
+                count[u] += sum(len(outside - adj[w]) for w in ns - adj[u] if w != u) - len(outside)
+        for a, b in fills:
+            adj[a].add(b)
+            adj[b].add(a)
     return order
 
 
@@ -166,9 +183,12 @@ def explanation_tables(network: Network, evidence: Assignment) -> ExplanationTab
     """The two tables every explanation method reads, by two VE runs.
 
     P(e) is the sum of P(T, e). Targets bound by the evidence are not part of
-    any explanation, so the tables leave them out.
+    any explanation, so the tables leave them out. Empty evidence is refused:
+    every GBF would be exactly 1, and a ranking would order round-off.
     """
     evidence = dict(evidence)
+    if not evidence:
+        raise ValueError("evidence must be nonempty")
     targets = tuple(t for t in network.targets if t not in evidence)
     if not targets:
         raise ValueError("network has no unobserved target variables")

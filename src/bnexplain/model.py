@@ -8,11 +8,12 @@ parent varying fastest and child states innermost; everything downstream
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
+
+import numpy as np
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -130,11 +131,6 @@ class Network:
         for c in self.cpts:
             g.add_edges_from((p, c.child) for p in c.parents)
         return g
-
-
-def parent_configs(network: Network, parents: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-    """All parent configurations in table order (rightmost parent fastest)."""
-    return itertools.product(*(network.states(p) for p in parents))
 
 
 def check_assignment(network: Network, assignment: Assignment) -> None:
@@ -270,33 +266,44 @@ def _check_cpt(network, cpt, known) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# CPT expansion
+# CPT lowering
 
-def expand_cpt(network: Network, cpt: Cpt) -> TableCpt:
-    """Lower a noisy-OR or deterministic CPT to an equivalent full table."""
+def expand_cpt(network: Network, cpt: Cpt) -> np.ndarray:
+    """The CPT's probabilities as an array shaped parents + (child,).
+
+    Axes follow `cpt.parents` and then the child, in C order, so the flat view
+    is the table layout (rightmost parent fastest, child states innermost).
+    A noisy-OR's no-effect probability is (1 - leak) times (1 - p) of each
+    active trigger, multiplied in parent order; an inactive parent
+    contributes an exact factor of 1.0, so every entry is bit-identical to
+    the product taken one configuration at a time (`tests/oracle.py`). A
+    deterministic CPT is a one-hot array over the chosen child state of each
+    parent configuration.
+    """
+    shape = [network.card(p) for p in cpt.parents] + [network.card(cpt.child)]
     if isinstance(cpt, TableCpt):
-        return cpt
+        return np.asarray(cpt.rows, dtype=float).reshape(shape)
     child_states = network.states(cpt.child)
-    rows: list[float] = []
     if isinstance(cpt, NoisyOrCpt):
-        effect = child_states.index(cpt.effect_state)
         by_parent = {t.parent: t for t in cpt.triggers}
-        for conf in parent_configs(network, cpt.parents):
-            q = 1.0 - cpt.leak
-            for p, s in zip(cpt.parents, conf):
-                t = by_parent.get(p)
-                if t is not None and s == t.activating_state:
-                    q *= 1.0 - t.p
-            row = [0.0, 0.0]
-            row[effect] = 1.0 - q
-            row[1 - effect] = q
-            rows.extend(row)
-    else:
-        chosen = dict(cpt.exceptions)
-        for conf in parent_configs(network, cpt.parents):
-            state = chosen.get(conf, cpt.default_state)
-            rows.extend(1.0 if s == state else 0.0 for s in child_states)
-    return TableCpt(child=cpt.child, parents=cpt.parents, rows=tuple(rows))
+        q = np.asarray(1.0 - cpt.leak)
+        for p in cpt.parents:
+            states = network.states(p)
+            factor = [1.0] * len(states)
+            t = by_parent.get(p)
+            if t is not None and t.activating_state in states:
+                factor[states.index(t.activating_state)] = 1.0 - t.p
+            q = np.multiply.outer(q, factor)
+        effect = child_states.index(cpt.effect_state)
+        values = np.empty(shape)
+        values[..., effect] = 1.0 - q
+        values[..., 1 - effect] = q
+        return values
+    chosen = np.full(shape[:-1], child_states.index(cpt.default_state), dtype=np.intp)
+    for conf, state in cpt.exceptions:
+        chosen[tuple(network.states(p).index(s) for p, s in zip(cpt.parents, conf))] = \
+            child_states.index(state)
+    return np.eye(len(child_states))[chosen]
 
 
 # ---------------------------------------------------------------------------

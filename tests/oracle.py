@@ -5,6 +5,8 @@ elimination, just explicit enumeration of full configurations. Each CPT kind
 is evaluated directly from its own parameters rather than through expand_cpt.
 ``minimal_set`` is the plain O(n * alive) scan that ``kmre.minimal_set``
 replaced, kept as the reference for its sub-assignment lookup.
+``minfill_order`` recomputes every fill count at every step; it is the
+reference for ``infer._minfill_order``, which keeps the counts up to date.
 """
 
 import itertools
@@ -145,3 +147,30 @@ def minimal_set(rows):
 
     keep = {r.bindings for r in alive}
     return [r for r in rows if r.bindings in keep], witness
+
+
+def minfill_order(scopes, keep):
+    """Elimination order by min-fill, lexicographic tie-break, recounting
+    every remaining variable's fill-in at every step."""
+    adj = {}
+    for sc in scopes:
+        for v in sc:
+            adj.setdefault(v, set()).update(u for u in sc if u != v)
+    todo = set(adj) - set(keep)
+    order = []
+    while todo:
+        def fill(v):
+            ns = list(adj[v])
+            return sum(1 for i in range(len(ns)) for j in range(i + 1, len(ns))
+                       if ns[j] not in adj[ns[i]])
+        v = min(todo, key=lambda u: (fill(u), u))
+        ns = adj.pop(v)
+        for u in ns:
+            adj[u].discard(v)
+        for u in ns:
+            for w in ns:
+                if u != w:
+                    adj[u].add(w)
+        todo.remove(v)
+        order.append(v)
+    return order

@@ -423,7 +423,7 @@ def test_k_must_be_an_integer(nets):
     for k in (1.5, 2.0, True, "3", None):
         with pytest.raises(ValueError, match="k must be at least 1 and an integer"):
             k_map(nets["circuit"], CIRCUIT_E, k=k)
-    for k in (2.5, 2.0, True):
+    for k in (2.5, 2.0, True, "3", None):
         with pytest.raises(ValueError, match="k must be at least 1 and an integer"):
             BaselineParams(k=k)
 
@@ -441,6 +441,14 @@ def test_k_below_one_is_rejected(nets):
 def test_nan_field_is_rejected(field):
     with pytest.raises(ValueError, match=f"{field} must be a number"):
         BaselineParams(**{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["simplify_factor", "branch_floor", "mi_threshold",
+                                   "flow_threshold"])
+@pytest.mark.parametrize("bad", ["0.1", None, [0.1]])
+def test_non_numeric_threshold_is_rejected(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        BaselineParams(**{field: bad})
 
 
 @pytest.mark.parametrize("field", ["simplify_factor", "branch_floor"])

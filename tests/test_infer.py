@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from bnexplain.infer import (
     Factor,
     ImpossibleEvidenceError,
+    _minfill_order,
     brute_force_joint,
     likelihood,
     marginal,
@@ -96,6 +99,30 @@ def test_marginal_from_joint_equals_elimination(nets):
     from_joint = brute_force_joint(net).values.sum(axis=axes)
     ve = marginal(net, ("TotalOutput",)).values
     assert ve == pytest.approx(from_joint, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# elimination order
+
+# Short names so that fill counts tie often; the tie-break is by name.
+_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K", "L", "M", "AA", "B1")
+
+
+@settings(deadline=None, max_examples=300)
+@given(scopes=st.lists(st.lists(st.sampled_from(_NAMES), max_size=6, unique=True), max_size=16),
+       evidence=st.sets(st.sampled_from(_NAMES)), keep=st.sets(st.sampled_from(_NAMES)))
+def test_minfill_order_equals_the_recounting_oracle(scopes, evidence, keep):
+    restricted = [tuple(v for v in sc if v not in evidence) for sc in scopes]
+    assert _minfill_order(restricted, keep) == oracle.minfill_order(restricted, keep)
+
+
+def test_minfill_order_equals_the_oracle_on_scenarios(nets, scenarios):
+    for sid, fid, evidence in scenarios:
+        net = nets[fid]
+        scopes = [tuple(v for v in net.parents(n) + (n,) if v not in evidence)
+                  for n in net.names()]
+        for keep in (set(), set(net.targets) - set(evidence)):
+            assert _minfill_order(scopes, keep) == oracle.minfill_order(scopes, keep), sid
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnexplain
+import oracle
 from bnexplain import bench
 from bnexplain.baselines import causal_explanation_tree, causal_flow, explanation_tree
 from bnexplain.infer import explanation_tables, mutilate, prob, query
@@ -160,19 +162,14 @@ def test_expanded_rows_sum_to_one_everywhere(nets):
     for fid, net in nets.items():
         for cpt in net.cpts:
             full = expand_cpt(net, cpt)
-            width = net.card(cpt.child)
-            for i in range(len(full.rows) // width):
-                row = full.rows[i * width:(i + 1) * width]
-                assert abs(sum(row) - 1.0) <= 1e-9, (fid, cpt.child, i)
+            assert full.shape == tuple(net.card(v) for v in cpt.parents + (cpt.child,))
+            assert np.all(np.abs(full.sum(axis=-1) - 1.0) <= 1e-9), (fid, cpt.child)
 
 
 def _expanded_row(net, child, parent_config):
-    cpt = expand_cpt(net, net.cpt(child))
-    idx = 0
-    for p, s in zip(cpt.parents, parent_config):
-        idx = idx * net.card(p) + net.states(p).index(s)
-    width = net.card(child)
-    return cpt.rows[idx * width:(idx + 1) * width]
+    values = expand_cpt(net, net.cpt(child))
+    idx = tuple(net.states(p).index(s) for p, s in zip(net.parents(child), parent_config))
+    return tuple(values[idx].tolist())
 
 
 def test_noisy_or_expansion_values(nets):
@@ -208,6 +205,52 @@ def test_deterministic_expansion_point_mass(nets):
     assert _expanded_row(net2, "E", ("high", "high", "abnormal")) == (1.0, 0.0)
 
 
+def _gate_net(data, kind):
+    """A valid network: root parents (cardinality 2-4) feeding one child
+    with a random noisy-OR or deterministic CPT."""
+    cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=7), label="cards")
+    pairs = []
+    parents = tuple(f"P{i}" for i in range(len(cards)))
+    for p, n in zip(parents, cards):
+        pairs.append((_v(p, states=tuple(f"s{j}" for j in range(n))),
+                      TableCpt(child=p, parents=(), rows=(1.0 / n,) * n)))
+    probability = st.floats(0.0, 1.0)
+    if kind == "noisy_or":
+        child = _v("C", states=("on", "off"))
+        triggers = tuple(
+            NoisyOrTrigger(p, f"s{data.draw(st.integers(0, n - 1))}", data.draw(probability))
+            for p, n in zip(parents, cards) if data.draw(st.booleans()))
+        leak = data.draw(st.one_of(st.just(0.0), probability))
+        cpt = NoisyOrCpt(child="C", parents=parents,
+                         effect_state=data.draw(st.sampled_from(child.states)),
+                         triggers=triggers, leak=leak)
+    else:
+        child = _v("C", states=tuple(f"c{j}" for j in range(data.draw(st.integers(2, 4)))))
+        confs = data.draw(st.lists(
+            st.tuples(*(st.sampled_from([f"s{j}" for j in range(n)]) for n in cards)),
+            max_size=6, unique=True))
+        cpt = DeterministicCpt(child="C", parents=parents,
+                               default_state=data.draw(st.sampled_from(child.states)),
+                               exceptions=tuple((c, data.draw(st.sampled_from(child.states)))
+                                                for c in confs))
+    net = _net(*pairs, (child, cpt))
+    assert validate(net) == []
+    return net
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["noisy_or", "deterministic"]), data=st.data())
+def test_expansion_equals_the_oracle_at_every_entry(kind, data):
+    net = _gate_net(data, kind)
+    values = expand_cpt(net, net.cpt("C"))
+    parents = net.parents("C")
+    assert values.shape == tuple(net.card(v) for v in parents + ("C",))
+    for conf in itertools.product(*(net.states(p) for p in parents)):
+        idx = tuple(net.states(p).index(s) for p, s in zip(parents, conf))
+        for j, state in enumerate(net.states("C")):
+            assert values[idx + (j,)] == oracle.cpt_prob(net, "C", state, conf), (conf, state)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -218,8 +261,8 @@ def test_round_trip_identity(nets):
         assert back.variables == net.variables, fid
         assert serialize_network(back) == text, fid
         for cpt in net.cpts:
-            assert expand_cpt(back, back.cpt(cpt.child)).rows == \
-                expand_cpt(net, cpt).rows, (fid, cpt.child)
+            assert np.array_equal(expand_cpt(back, back.cpt(cpt.child)),
+                                  expand_cpt(net, cpt)), (fid, cpt.child)
 
 
 def test_round_trip_preserves_cpt_kinds(nets):

@@ -134,3 +134,11 @@ def test_every_target_observed_is_refused(nets, method):
     evidence = {"Healthy": "healthy", "Location": "home", "Alive": "alive"}
     with pytest.raises(ValueError, match="unobserved target"):
         method(nets["vacation1"], evidence)
+
+
+@pytest.mark.parametrize("method", [
+    score_all, mre, k_mre, k_map, k_simp, explanation_tree, causal_explanation_tree])
+def test_empty_evidence_is_refused(nets, method):
+    # Every GBF is exactly 1 without evidence; a ranking would order round-off.
+    with pytest.raises(ValueError, match="evidence must be nonempty"):
+        method(nets["asia"], {})
