@@ -2,10 +2,12 @@
 surgery for interventions.
 
 Production inference is variable elimination with a min-fill ordering; the
-brute-force joint is kept as a testing oracle. The explanation methods read
-their probabilities from two tables per query, P(T) and P(T, e) over the
-unobserved targets (`explanation_tables`). All information measures are in
-nats.
+brute-force joint is kept as a testing oracle. A VE run reads only the CPTs
+of the queried and conditioned variables and their ancestors: every other
+variable is barren and sums out to 1. The explanation methods read their
+probabilities from two tables per query, P(T) and P(T, e) over the
+unobserved targets (`explanation_tables`); when the targets are roots, P(T)
+is the product of their priors. All information measures are in nats.
 """
 from __future__ import annotations
 
@@ -112,10 +114,26 @@ def _minfill_order(scopes: list[tuple[str, ...]], keep: set[str]) -> list[str]:
     return order
 
 
+def _relevant(network: Network, names: Iterable[str]) -> set[str]:
+    """`names` and all their ancestors."""
+    seen = set(names)
+    todo = list(seen)
+    while todo:
+        for p in network.parents(todo.pop()):
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
 def query(network: Network, variables: tuple[str, ...] = (), condition: Assignment | None = None) -> Factor:
     """Unnormalized factor: values[config] = P(variables=config, condition).
 
     With empty `variables` the result is a scalar factor holding P(condition).
+    Only the CPTs of `variables`, the conditioned variables and their
+    ancestors are lowered and eliminated. Every other variable is barren: it
+    sums out to 1 (Shachter 1986). So the prior over root variables is the
+    product of their CPTs, and a query with nothing to read is exactly 1.0.
     """
     condition = dict(condition or {})
     check_assignment(network, condition)
@@ -126,8 +144,11 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
     if len(set(variables)) != len(variables):
         raise ValueError(f"a variable is queried twice in {tuple(variables)}")
 
+    relevant = _relevant(network, (*variables, *condition))
     factors = []
     for name in network.names():
+        if name not in relevant:
+            continue
         f = cpt_factor(network, name)
         for var, state in condition.items():
             if var in f.scope:
@@ -142,7 +163,7 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
             prod = multiply(prod, f)
         factors.append(sum_out(prod, v))
 
-    out = factors[0]
+    out = factors[0] if factors else Factor((), np.float64(1.0))
     for f in factors[1:]:
         out = multiply(out, f)
     # align scope to the requested variable order
@@ -156,13 +177,33 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
 def sum_to(network: Network, f: Factor, keep: tuple[str, ...] = (),
            at: Assignment | None = None) -> np.ndarray:
     """The entries of f consistent with `at`, summed down to one axis per
-    `keep` variable, in that order. With empty `keep` the result is 0-d."""
+    `keep` variable, in that order. With empty `keep` the result is 0-d.
+
+    Every `at` name must be in f's scope with a known state; every `keep`
+    name must be in the scope, unbound by `at` and named once. Otherwise a
+    ValueError names the variable.
+    """
     at = at or {}
-    pick = tuple(network.states(v).index(at[v]) if v in at else slice(None)
-                 for v in f.scope)
+    try:
+        pick = tuple([network.states(v).index(at[v]) if v in at else slice(None)
+                      for v in f.scope])
+    except ValueError:
+        check_assignment(network, at)
+        raise
     rest = [v for v in f.scope if v not in at]
-    values = f.values[pick].sum(axis=tuple(i for i, v in enumerate(rest) if v not in keep))
+    if len(rest) + len(at) != len(f.scope):
+        bad = next(v for v in at if v not in f.scope)
+        raise ValueError(f"{bad!r} is not in the factor's scope {f.scope}")
     kept = [v for v in rest if v in keep]
+    if len(kept) != len(keep):
+        for v in keep:
+            if keep.count(v) > 1:
+                raise ValueError(f"{v!r} is kept twice in {tuple(keep)}")
+            if v in at:
+                raise ValueError(f"{v!r} is both kept and bound")
+            if v not in f.scope:
+                raise ValueError(f"{v!r} is not in the factor's scope {f.scope}")
+    values = f.values[pick].sum(axis=tuple([i for i, v in enumerate(rest) if v not in keep]))
     return np.transpose(values, [kept.index(v) for v in keep])
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from test_properties import random_net
+from bnexplain import infer
 from bnexplain.infer import (
     Factor,
     ImpossibleEvidenceError,
     _minfill_order,
     brute_force_joint,
+    explanation_tables,
     likelihood,
     marginal,
     mutilate,
     prob,
     query,
+    sum_to,
     table_mutual_information,
 )
 from bnexplain.baselines import causal_flow
@@ -99,6 +104,69 @@ def test_marginal_from_joint_equals_elimination(nets):
     from_joint = brute_force_joint(net).values.sum(axis=axes)
     ve = marginal(net, ("TotalOutput",)).values
     assert ve == pytest.approx(from_joint, abs=1e-9)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_query_equals_the_oracle_on_random_subsets(seed):
+    # Variables outside the query, the condition and their ancestors are
+    # barren; random subsets of random DAGs leave many of them, or none.
+    rng = random.Random(seed)
+    net = random_net(rng, max_vars=6)
+    jt = oracle.joint(net)
+    names = net.names()
+    variables = tuple(rng.sample(names, rng.randint(0, min(3, len(names)))))
+    rest = [v for v in names if v not in variables]
+    condition = {v: rng.choice(net.states(v))
+                 for v in rng.sample(rest, rng.randint(0, min(2, len(rest))))}
+    f = query(net, variables, condition)
+    assert f.scope == variables
+    for config in itertools.product(*(net.states(v) for v in variables)):
+        got = f.values[tuple(net.states(v).index(s) for v, s in zip(variables, config))]
+        want = oracle.mass(net, jt, {**dict(zip(variables, config)), **condition})
+        assert math.isclose(got, want, rel_tol=1e-12), (variables, condition, config)
+
+
+def test_a_query_with_nothing_to_read_is_exactly_one(nets):
+    for fid, net in nets.items():
+        assert query(net, ()).item() == 1.0, fid
+        assert prob(net, {}) == 1.0, fid
+
+
+def test_tables_lower_only_the_relevant_cpts(monkeypatch, nets):
+    lowered = []
+    expand_cpt = infer.expand_cpt
+
+    def counted(network, cpt):
+        lowered.append(cpt.child)
+        return expand_cpt(network, cpt)
+
+    monkeypatch.setattr(infer, "expand_cpt", counted)
+    explanation_tables(nets["asia"], {"XRay": "abnormal"})
+    # P(T, e): XRay and its ancestors (7 CPTs); P(T): the 3 targets and
+    # Smoking, plus VisitAsia for Tuberculosis (5). Dyspnea is never read.
+    assert len(lowered) == 12
+    assert "Dyspnea" not in lowered
+
+
+def test_sum_to_refuses_names_it_cannot_use(nets):
+    net = nets["asia"]
+    joint = explanation_tables(net, {"XRay": "abnormal"}).joint
+    assert joint.scope == ("Tuberculosis", "LungCancer", "Bronchitis")
+    cases = [
+        ((), {"Nope": "x"}, "'Nope' is not in the factor's scope"),
+        ((), {"Smoking": "yes"}, "'Smoking' is not in the factor's scope"),
+        ((), {"Bronchitis": "maybe"}, "'maybe' is not a state of 'Bronchitis'"),
+        (("XRay",), {}, "'XRay' is not in the factor's scope"),
+        (("Bronchitis",), {"Bronchitis": "yes"}, "'Bronchitis' is both kept and bound"),
+        (("LungCancer", "LungCancer"), {}, "'LungCancer' is kept twice"),
+    ]
+    for keep, at, match in cases:
+        with pytest.raises(ValueError, match=match):
+            sum_to(net, joint, keep, at)
+    both = sum_to(net, joint, ("Bronchitis", "LungCancer"), {"Tuberculosis": "no"})
+    assert both.shape == (2, 2)
+    assert both.sum() == pytest.approx(float(sum_to(net, joint, at={"Tuberculosis": "no"})))
 
 
 # ---------------------------------------------------------------------------

@@ -403,3 +403,17 @@ def test_minimal_set_matches_the_reference_scan_on_scenarios(nets, scenarios):
     rng = random.Random(7)
     for _, fid, evidence in scenarios:
         _assert_minimal_set_matches_reference(score_all(nets[fid], evidence), rng)
+
+
+def test_minimal_set_matches_the_reference_scan_on_wide_masks(nets):
+    # vacation100's 101-state Location makes masks wider than 64 bits. With
+    # one single-binding row left, at most one row is alive when the pairs
+    # are judged, so most sub-mask probes miss.
+    rng = random.Random(7)
+    net = nets["vacation100"]
+    single = (("Healthy", net.states("Healthy")[0]),)
+    for evidence in ({"Alive": "alive"}, {"Alive": "dead"}):
+        rows = [r for r in score_all(net, evidence)
+                if len(r.bindings) == 2 or r.bindings == single]
+        assert len({b for r in rows for b in r.bindings}) > 64
+        _assert_minimal_set_matches_reference(rows, rng)
