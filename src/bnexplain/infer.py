@@ -254,12 +254,8 @@ def prob(network: Network, assignment: Assignment, evidence: Assignment | None =
 
 
 def likelihood(network: Network, evidence: Assignment, assignment: Assignment) -> float:
-    """Exact P(evidence | assignment)."""
-    merged = _merge(dict(evidence), dict(assignment))
-    px = query(network, (), dict(assignment)).item()
-    if px <= 0.0:
-        raise ValueError(f"conditioning assignment {dict(assignment)} has probability 0")
-    return query(network, (), merged).item() / px
+    """Exact P(evidence | assignment): `prob` with its arguments reversed."""
+    return prob(network, evidence, assignment)
 
 
 def _merge(a: dict, b: dict) -> dict:

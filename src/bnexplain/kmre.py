@@ -1,20 +1,22 @@
 """Top-K most relevant explanations via dominance and minimality.
 
-The minimal set is built by a lattice scan over candidate sizes. Each
-candidate is judged only against its alive strict sub-assignments, looked up
-in a dict of alive rows keyed by the bit set of their bindings (at most 2^|x|
-lookups per candidate), and every pair is judged by the one dominance rule,
-``dominates``. Within a level a candidate
-is excluded when an alive strict sub-assignment dominates it strongly; at the
-end of each level, the level's survivors evict the alive sub-assignments they
-dominate weakly. Eviction is deferred to level end so same-level candidates
-are all judged against the same previous set. Every exclusion records its
-witness.
+The minimal set is built by a lattice scan over candidate sizes. Both
+dominance relations rest on one comparison, ``_at_least``: for a strict
+sub-assignment k of r, either k scores at least as high as r and dominates
+it strongly, or r scores strictly higher and dominates k weakly, never both.
+So each candidate probes its alive strict sub-assignments once, in a dict of
+alive rows keyed by the bit set of their bindings (at most 2^|x| lookups).
+The earliest admitted one that scores at least as high kills it; if none
+does, it survives and dominates every probed row weakly. Eviction is deferred
+to level end, so same-level candidates are all judged against the same
+previous set. Every exclusion records its witness. The complement needs
+ordered scores, so NaN scores are refused.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import search
@@ -32,6 +34,11 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=1e-15)
 
 
+def _at_least(a: float, b: float) -> bool:
+    """a scores at least as high as b, up to round-off; false if either is NaN."""
+    return a > b or _close(a, b)
+
+
 @dataclass(frozen=True)
 class DominanceVerdict:
     relation: str  # "strong" | "weak"
@@ -47,12 +54,12 @@ def dominates(a: ScoredExplanation, b: ScoredExplanation) -> str | None:
     Strong: a is a strict sub-assignment of b and scores at least as high.
     Weak: a is a strict super-assignment of b and scores strictly higher.
     Infinite scores follow the same rules (an infinite subset kills all its
-    supersets).
+    supersets); a NaN score dominates nothing and is dominated by nothing.
     """
     sa, sb = set(a.bindings), set(b.bindings)
-    if sa < sb and (a.value > b.value or _close(a.value, b.value)):
+    if sa < sb and _at_least(a.value, b.value):
         return "strong"
-    if sa > sb and a.value > b.value and not _close(a.value, b.value):
+    if sa > sb and _at_least(a.value, b.value) and not _at_least(b.value, a.value):
         return "weak"
     return None
 
@@ -75,12 +82,15 @@ def minimal_set(rows: list[ScoredExplanation]) -> tuple[list[ScoredExplanation],
                                                          dict[Bindings, DominanceVerdict]]:
     """Filter rows to the minimal (undominated) set; input order is preserved.
 
-    Also returns a witness for every excluded row, keyed by its bindings.
+    Also returns a witness for every excluded row, keyed by its bindings. A
+    row scored NaN raises ValueError.
     """
     # each (variable, state) binding is one bit; a row is the mask of its bindings
     bit: dict[tuple[str, str], int] = {}
     by_size: dict[int, list[tuple[int, ScoredExplanation]]] = {}
     for r in rows:
+        if math.isnan(r.value):
+            raise ValueError(f"row {r.bindings} is scored nan")
         mask = 0
         for b in r.bindings:
             mask |= 1 << bit.setdefault(b, len(bit))
@@ -92,20 +102,20 @@ def minimal_set(rows: list[ScoredExplanation]) -> tuple[list[ScoredExplanation],
     for size in sorted(by_size):
         level_kept = []
         for mask, r in sorted(by_size[size], key=lambda mr: mr[1].order):
-            killer = next((k for _, _, k in _alive_below(alive, mask)
-                           if dominates(k, r) == "strong"), None)
+            below = _alive_below(alive, mask)
+            killer = next((k for _, _, k in below if _at_least(k.value, r.value)), None)
             if killer is not None:
                 witness[r.bindings] = DominanceVerdict(
                     "strong", killer.bindings, r.bindings, killer.value, r.value)
             else:
-                level_kept.append((mask, r))
-        for mask, r in level_kept:
-            for _, sub, k in _alive_below(alive, mask):
-                if dominates(r, k) == "weak":
+                level_kept.append((mask, r, below))
+        for _, r, below in level_kept:
+            for _, sub, k in below:
+                if sub in alive:
                     witness[k.bindings] = DominanceVerdict(
                         "weak", r.bindings, k.bindings, r.value, k.value)
                     del alive[sub]
-        for mask, r in level_kept:
+        for mask, r, _ in level_kept:
             alive[mask] = (next(admitted), mask, r)
 
     keep = {r.bindings for _, _, r in alive.values()}
@@ -128,8 +138,8 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
     must score above the floor. gbf_floor=-inf disables the floor.
     """
     search._check_k(k)
-    if math.isnan(gbf_floor):
-        raise ValueError("gbf_floor must be a number, got nan")
+    if not isinstance(gbf_floor, numbers.Real) or math.isnan(gbf_floor):
+        raise ValueError(f"gbf_floor must be a number, got {gbf_floor!r}")
     scored = search.score_all(network, evidence)
     kept, witnesses = minimal_set(scored)
 

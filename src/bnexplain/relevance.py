@@ -3,6 +3,8 @@
 The generalized Bayes factor of an explanation x for evidence e is computed
 from the prior and posterior of x (never by enumerating the alternatives to
 x); extreme priors and posteriors get the boundary values 0 and infinity.
+`conditional_gbf` is the one reader of both; GBF, CBF, each chain-rule step
+and the belief update ratio are calls to it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,10 @@ STRENGTH_LABELS = (
 
 
 def strength_label(value: float) -> str:
-    """Evidence-strength band of a Bayes factor. Band edges go to the lower band."""
+    """Evidence-strength band of a Bayes factor. Band edges go to the lower band;
+    NaN has no band and raises ValueError."""
+    if math.isnan(value):
+        raise ValueError("a Bayes factor of nan has no strength band")
     if value < 1.0:
         return "Negative"
     if value <= 3.0:
@@ -50,9 +55,7 @@ def gbf_from_probs(prior: float, posterior: float) -> float:
     Impossible or certain x scores 0 (a ratio of two zeros); a certain
     posterior on an uncertain x scores infinity.
     """
-    if prior <= EPS:
-        return 0.0
-    if prior >= 1.0 - EPS:
+    if prior <= EPS or prior >= 1.0 - EPS:
         return 0.0
     if posterior >= 1.0 - EPS:
         return math.inf
@@ -70,38 +73,39 @@ class GbfScore:
         return strength_label(self.value)
 
 
-def belief_update_ratio(network: Network, x: Assignment, e: Assignment) -> float:
-    """r(x; e) = P(x|e) / P(x)."""
-    prior = infer.prob(network, x)
-    if prior <= 0.0:
-        raise ValueError("belief update ratio undefined for a zero-probability event")
-    return infer.prob(network, x, e) / prior
+def conditional_gbf(network: Network, x: Assignment, e: Assignment,
+                    given: Assignment | None = None) -> GbfScore:
+    """GBF(x; e | given): prior P(x | given), posterior P(x | given, e).
+
+    x and e must be nonempty and x, e and `given` pairwise disjoint; a shared
+    variable raises ValueError naming it.
+    """
+    given = given or {}
+    if not x or not e:
+        raise ValueError("explanation and evidence must be nonempty")
+    shared = x.keys() & e.keys() | (x.keys() | e.keys()) & given.keys()
+    if shared:
+        raise ValueError(f"explanation, evidence and condition overlap on {min(shared)!r}")
+    prior = infer.prob(network, x, given)
+    posterior = infer.prob(network, x, {**given, **e})
+    return GbfScore(value=gbf_from_probs(prior, posterior), prior=prior, posterior=posterior)
 
 
 def gbf(network: Network, x: Assignment, e: Assignment) -> GbfScore:
-    if not x or not e:
-        raise ValueError("explanation and evidence must be nonempty")
-    prior = infer.prob(network, x)
-    posterior = infer.prob(network, x, e)
-    return GbfScore(value=gbf_from_probs(prior, posterior), prior=prior, posterior=posterior)
-
-
-def conditional_gbf(network: Network, x: Assignment, e: Assignment,
-                    given: Assignment) -> GbfScore:
-    """GBF of x for e with `given` appended to every conditioning side."""
-    if not given:
-        return gbf(network, x, e)
-    prior = infer.prob(network, x, given)
-    posterior = infer.prob(network, x, {**given, **dict(e)})
-    return GbfScore(value=gbf_from_probs(prior, posterior), prior=prior, posterior=posterior)
+    return conditional_gbf(network, x, e)
 
 
 def cbf(network: Network, y: Assignment, e: Assignment, x: Assignment) -> float:
     """Conditional Bayes factor GBF(y; e | x)."""
-    overlap = set(y) & set(x)
-    if overlap:
-        raise ValueError(f"y and x overlap on {sorted(overlap)}")
     return conditional_gbf(network, y, e, x).value
+
+
+def belief_update_ratio(network: Network, x: Assignment, e: Assignment) -> float:
+    """r(x; e) = P(x|e) / P(x)."""
+    s = conditional_gbf(network, x, e)
+    if s.prior <= 0.0:
+        raise ValueError("belief update ratio undefined for a zero-probability event")
+    return s.posterior / s.prior
 
 
 def gbf_chain(network: Network, x: Assignment, evidence_pieces) -> float:
@@ -110,12 +114,6 @@ def gbf_chain(network: Network, x: Assignment, evidence_pieces) -> float:
     pieces = [dict(p) for p in evidence_pieces]
     if not pieces:
         raise ValueError("no evidence pieces")
-    seen: dict = {}
-    for p in pieces:
-        for var in p:
-            if var in seen:
-                raise ValueError(f"evidence pieces overlap on {var!r}")
-            seen[var] = True
     total = 1.0
     accumulated: dict = {}
     for piece in pieces:

@@ -76,11 +76,12 @@ def prob(network, joint_table, assignment, evidence=None):
     return mass(network, joint_table, {**assignment, **evidence}) / pe
 
 
-def gbf(network, joint_table, x, e):
-    """Posterior/prior odds ratio with the extreme-value conventions."""
-    prior = mass(network, joint_table, x)
-    pe = mass(network, joint_table, e)
-    posterior = mass(network, joint_table, {**x, **e}) / pe
+def gbf(network, joint_table, x, e, given=None):
+    """Posterior/prior odds ratio with the extreme-value conventions; `given`
+    joins both conditioning sides."""
+    given = given or {}
+    prior = prob(network, joint_table, x, given)
+    posterior = prob(network, joint_table, x, {**given, **e})
     if prior <= 0.0 or prior >= 1.0:
         return 0.0
     if posterior >= 1.0:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def test_infinite_scores_follow_the_same_rules():
     assert dominates(_row(A, math.inf), _row(AB, math.inf)) == "strong"
     assert dominates(_row(AB, math.inf), _row(A, 5.0)) == "weak"
     assert dominates(_row(AB, math.inf), _row(A, math.inf)) is None
+
+
+def test_nan_score_dominates_nothing():
+    for a, b in ((A, AB), (AB, A)):
+        for va, vb in ((math.nan, 5.0), (5.0, math.nan), (math.nan, math.nan),
+                       (math.nan, math.inf), (math.inf, math.nan)):
+            assert dominates(_row(a, va), _row(b, vb)) is None
+
+
+def test_minimal_set_refuses_a_nan_score():
+    with pytest.raises(ValueError, match="nan"):
+        minimal_set([_row(A, 5.0, 0), _row(AB, math.nan, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +176,12 @@ def test_k_must_be_an_integer(nets):
 def test_nan_floor_is_rejected(nets):
     with pytest.raises(ValueError, match="gbf_floor must be a number"):
         k_mre(nets["asia"], {"Dyspnea": "yes"}, k=10, gbf_floor=math.nan)
+
+
+@pytest.mark.parametrize("floor", ["x", "1.0", None])
+def test_non_numeric_floor_is_rejected(nets, floor):
+    with pytest.raises(ValueError, match=re.escape(f"gbf_floor must be a number, got {floor!r}")):
+        k_mre(nets["asia"], {"Dyspnea": "yes"}, gbf_floor=floor)
 
 
 def test_result_carries_the_full_sweep(nets):

@@ -14,10 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bnexplain.infer import brute_force_joint, marginal, query
-from bnexplain.kmre import dominates, minimal_set
+from bnexplain.kmre import REL_TOL, dominates, minimal_set
 from bnexplain.model import Network, TableCpt, Variable, d_separated
 from bnexplain.relevance import gbf, gbf_from_probs
-from bnexplain.search import enumerate_explanations, score_all
+from bnexplain.search import ScoredExplanation, enumerate_explanations, score_all
 
 import oracle
 
@@ -388,15 +388,33 @@ def _assert_minimal_set_matches_reference(rows, rng):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_minimal_set_matches_the_reference_scan(seed, coarse):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("exact", "coarse", "ladder")))
+def test_minimal_set_matches_the_reference_scan(seed, scores):
     rng = random.Random(seed)
     net = random_net(rng, max_vars=6, roles=True)
     last = net.names()[-1]
     rows = score_all(net, {last: net.states(last)[0]})
-    if coarse:  # round scores so that exact and near ties are common
+    if scores == "coarse":  # round scores so that exact and near ties are common
         rows = [dataclasses.replace(r, value=round(r.value, 1)) for r in rows]
+    elif scores == "ladder":  # ties, zeros and infinities at every level
+        rows = [dataclasses.replace(r, value=rng.choice((0.0, 1.0, 2.0, math.inf, r.value)))
+                for r in rows]
     _assert_minimal_set_matches_reference(rows, rng)
+
+
+_SCORES = st.sampled_from((0.0, 1.0, 2.0, 2.0 * (1 + REL_TOL / 2), math.inf)) | st.floats(0.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_SCORES, _SCORES)
+def test_dominance_relations_are_complements(sub_value, super_value):
+    # for a strict sub-assignment k of r, exactly one holds: k dominates r
+    # strongly, or r dominates k weakly
+    k = ScoredExplanation(bindings=(("A", "a"),), kind="gbf", value=sub_value, order=0)
+    r = ScoredExplanation(bindings=(("A", "a"), ("B", "b")), kind="gbf", value=super_value,
+                          order=1)
+    assert (dominates(k, r) == "strong") != (dominates(r, k) == "weak")
+    assert dominates(r, k) != "strong" and dominates(k, r) != "weak"
 
 
 def test_minimal_set_matches_the_reference_scan_on_scenarios(nets, scenarios):

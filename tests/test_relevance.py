@@ -1,8 +1,12 @@
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
+from test_properties import random_net
 from bnexplain.relevance import (
     MAX_GRID_POINTS,
     GbfScore,
@@ -52,6 +56,13 @@ def test_strength_bands():
     assert strength_label(100.0) == "Very strong"
     assert strength_label(100.5) == "Decisive"
     assert strength_label(math.inf) == "Decisive"
+
+
+def test_nan_has_no_strength_band():
+    with pytest.raises(ValueError, match="nan"):
+        strength_label(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        GbfScore(value=math.nan, prior=0.5, posterior=0.5).strength
 
 
 def test_score_carries_strength(nets):
@@ -146,6 +157,56 @@ def test_cbf_conditionally_irrelevant_addition_is_one(nets):
 def test_cbf_rejects_overlap(nets):
     with pytest.raises(ValueError, match="overlap"):
         cbf(nets["asia"], {"Bronchitis": "yes"}, {"Dyspnea": "yes"}, {"Bronchitis": "no"})
+
+
+def test_overlapping_inputs_are_refused_not_answered(nets):
+    asia = nets["asia"]
+    # the evidence used to overwrite the condition: 27.76
+    with pytest.raises(ValueError, match="overlap on 'Dyspnea'"):
+        cbf(asia, {"Bronchitis": "yes"}, {"Dyspnea": "yes"}, {"Dyspnea": "no"})
+    # x read as its own evidence: inf
+    with pytest.raises(ValueError, match="overlap on 'Dyspnea'"):
+        gbf(asia, {"Dyspnea": "yes"}, {"Dyspnea": "yes"})
+    with pytest.raises(ValueError, match="overlap on 'Bronchitis'"):
+        gbf_chain(asia, {"Bronchitis": "yes"}, [{"Dyspnea": "yes"}, {"Bronchitis": "yes"}])
+    # an empty piece used to add a factor of 1
+    with pytest.raises(ValueError, match="nonempty"):
+        gbf_chain(asia, {"Bronchitis": "yes"}, [{"Dyspnea": "yes"}, {}])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_one_conditional_gbf_behind_every_measure(seed):
+    # each variable joins x, e, given or none of them, so the three are disjoint
+    rng = random.Random(seed)
+    net = random_net(rng)
+    jt = oracle.joint(net)
+    parts = ({}, {}, {}, {})
+    for v in net.names():
+        rng.choice(parts)[v] = rng.choice(net.states(v))
+    x, e, cond, _ = parts
+    assume(x and e)
+    s = conditional_gbf(net, x, e, cond)
+    assert s.prior == pytest.approx(oracle.prob(net, jt, x, cond), rel=1e-9)
+    assert s.posterior == pytest.approx(oracle.prob(net, jt, x, {**cond, **e}), rel=1e-9)
+    assert s.value == pytest.approx(oracle.gbf(net, jt, x, e, cond), rel=1e-9)
+    assert cbf(net, x, e, cond) == s.value
+    plain = gbf(net, x, e)
+    assert plain == conditional_gbf(net, x, e)
+    assert belief_update_ratio(net, x, e) == plain.posterior / plain.prior
+
+    # binding any variable of one part in another, to its own state or a
+    # contradicting one, is refused with the variable named
+    named = {**x, **e, **cond}
+    v = rng.choice(sorted(named))
+    state = rng.choice(net.states(v))
+    for i in range(3):
+        if v in (x, e, cond)[i]:
+            continue
+        bad = [dict(x), dict(e), dict(cond)]
+        bad[i][v] = state
+        with pytest.raises(ValueError, match=f"overlap on '{v}'"):
+            conditional_gbf(net, *bad)
 
 
 def test_chain_rule_equals_joint_gbf(nets):
