@@ -254,24 +254,31 @@ def explanation_tree(network: Network, evidence: Assignment,
 class _CausalFlows:
     """Causal flow of the variables of `joint` at branches over the others.
 
-    `joint` holds P(scope, e). Each variable's outcome table is one VE run on
-    the network with its incoming arcs cut, over the scope and the evidence
-    variables; its slice at {**branch, var: state} is do(var = state) scaled
-    by the cut variable's uniform prior, which the normalisation cancels.
+    `joint` holds P(scope, e). A variable's outcome table is over the scope
+    and the evidence variables; its slice at {**branch, var: state},
+    normalised, is the outcome distribution of do(var = state). For a
+    variable with parents it is one VE run on the network with var's incoming
+    arcs cut, which swaps var's CPT for a uniform prior (truncated
+    factorisation). For a root, cutting its arcs swaps only its prior, and
+    the per-state normalisation cancels any prior, so every root reads the
+    unmutilated P(scope, E): one cache entry, `te` when the caller already
+    holds it. A state with prior 0 has weight exactly 0 and is skipped before
+    its slice is read.
     """
 
-    def __init__(self, network: Network, joint: Factor, evidence_vars: tuple[str, ...]):
+    def __init__(self, network: Network, joint: Factor, evidence_vars: tuple[str, ...],
+                 te: Factor | None = None):
         self.network = network
         self.joint = joint
         self.evidence_vars = evidence_vars
-        self._outcomes: dict[str, Factor] = {}
+        self._outcomes: dict[str | None, Factor] = {} if te is None else {None: te}
 
     def _outcome(self, var: str) -> Factor:
-        if var not in self._outcomes:
-            others = tuple(v for v in self.joint.scope if v != var)
-            mnet = infer.mutilate(self.network, (var,))
-            self._outcomes[var] = query(mnet, (var,) + others + self.evidence_vars)
-        return self._outcomes[var]
+        key = var if self.network.parents(var) else None
+        if key not in self._outcomes:
+            net = self.network if key is None else infer.mutilate(self.network, (var,))
+            self._outcomes[key] = query(net, self.joint.scope + self.evidence_vars)
+        return self._outcomes[key]
 
     def flow(self, var: str, branch: Assignment) -> float:
         net = self.network
@@ -325,9 +332,16 @@ def causal_explanation_tree(network: Network, evidence: Assignment,
     The root is always installed; deeper nodes require flow_threshold.
     Branch labels are ln P(e|branch) - ln P(e); impossible branches get
     label -inf and become leaves.
+
+    One VE run gives P(T, E) over the unobserved targets T and the evidence
+    variables E (`infer.evidence_joint_tables`). P(T) is its sum over E,
+    P(T, e) its slice at e, and every root target reads its outcome
+    distributions from it (`_CausalFlows`). Each target with parents adds
+    one run on the network with its arcs cut: 1 + |targets with parents|
+    runs in all.
     """
-    tables = explanation_tables(network, evidence)
-    flows = _CausalFlows(network, tables.joint, tuple(sorted(evidence)))
+    tables, te = infer.evidence_joint_tables(network, evidence)
+    flows = _CausalFlows(network, tables.joint, tuple(sorted(evidence)), te)
 
     def pick(unused, branch):
         crit = {v: flows.flow(v, branch) for v in sorted(unused)}

@@ -44,6 +44,22 @@ def _score_str(x: float) -> str:
     return f"{x:.2f}" if abs(x) >= 10 else f"{x:.4f}"
 
 
+def _json_safe(doc):
+    """doc with every infinite float as the string the text output prints."""
+    if isinstance(doc, float) and math.isinf(doc):
+        return _score_str(doc)
+    if isinstance(doc, dict):
+        return {k: _json_safe(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_json_safe(v) for v in doc]
+    return doc
+
+
+def _print_json(doc) -> None:
+    """Standard JSON (RFC 8259): no Infinity or NaN tokens."""
+    print(json.dumps(_json_safe(doc), indent=2, allow_nan=False))
+
+
 def _load(args) -> Network:
     if args.fixture:
         return bench.fixture(args.fixture)
@@ -108,8 +124,7 @@ def _cmd_explain(args) -> int:
         build = explanation_tree if args.method == "etree" else causal_explanation_tree
         tree = build(net, ev, params)
         if args.format == "json":
-            print(json.dumps({"method": args.method, "evidence": ev,
-                              "tree": tree_doc(tree)}, indent=2))
+            _print_json({"method": args.method, "evidence": ev, "tree": tree_doc(tree)})
         else:
             print(render_tree(tree), end="")
         return 0
@@ -144,7 +159,7 @@ def _cmd_explain(args) -> int:
                  "dominated_by": dict(v.winner), "winner_score": v.winner_value}
                 for v in pruned_doc
             ]
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(_rows_text(rows))
         if pruned_doc:
@@ -162,7 +177,7 @@ def _cmd_bench(args) -> int:
         ids = list(bench.SCENARIO_IDS)
     reports = [bench.run_scenario(i) for i in ids]
     if args.format == "json":
-        print(json.dumps([r.doc() for r in reports], indent=2))
+        _print_json([r.doc() for r in reports])
     else:
         for r in reports:
             print(r.text())

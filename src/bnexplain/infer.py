@@ -7,7 +7,9 @@ of the queried and conditioned variables and their ancestors: every other
 variable is barren and sums out to 1. The explanation methods read their
 probabilities from two tables per query, P(T) and P(T, e) over the
 unobserved targets (`explanation_tables`); when the targets are roots, P(T)
-is the product of their priors. All information measures are in nats.
+is the product of their priors. The causal explanation tree reads both from
+one P(T, E) table over the evidence variables (`evidence_joint_tables`).
+All information measures are in nats.
 """
 from __future__ import annotations
 
@@ -220,6 +222,26 @@ class ExplanationTables:
         return self.joint.scope
 
 
+def _unobserved_targets(network: Network, evidence: Assignment) -> tuple[str, ...]:
+    """The targets an explanation may bind, after the checks every way of
+    building the tables shares: nonempty evidence over known variables and
+    states, and at least one target left unobserved."""
+    if not evidence:
+        raise ValueError("evidence must be nonempty")
+    check_assignment(network, evidence)
+    targets = tuple(t for t in network.targets if t not in evidence)
+    if not targets:
+        raise ValueError("network has no unobserved target variables")
+    return targets
+
+
+def _evidence_mass(joint: Factor, evidence: Assignment) -> float:
+    pe = float(joint.values.sum())
+    if pe <= 0.0:
+        raise ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
+    return pe
+
+
 def explanation_tables(network: Network, evidence: Assignment) -> ExplanationTables:
     """The two tables every explanation method reads, by two VE runs.
 
@@ -228,16 +250,30 @@ def explanation_tables(network: Network, evidence: Assignment) -> ExplanationTab
     every GBF would be exactly 1, and a ranking would order round-off.
     """
     evidence = dict(evidence)
-    if not evidence:
-        raise ValueError("evidence must be nonempty")
-    targets = tuple(t for t in network.targets if t not in evidence)
-    if not targets:
-        raise ValueError("network has no unobserved target variables")
+    targets = _unobserved_targets(network, evidence)
     joint = query(network, targets, evidence)
-    pe = float(joint.values.sum())
-    if pe <= 0.0:
-        raise ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
+    pe = _evidence_mass(joint, evidence)
     return ExplanationTables(prior=query(network, targets), joint=joint, pe=pe)
+
+
+def evidence_joint_tables(network: Network,
+                          evidence: Assignment) -> tuple[ExplanationTables, Factor]:
+    """The tables of `explanation_tables`, read from one VE run, and that run.
+
+    The run is P(T, E) over the unobserved targets T and the sorted evidence
+    variables E, not conditioned on e. P(T) is its sum over E, P(T, e) its
+    slice at e, and P(e) the sum of that slice. Inputs are checked and
+    refused exactly as by `explanation_tables`. Restricting to e makes P(T, e)
+    cheaper than P(T, E), so this pays only for a caller that reads P(T, E)
+    anyway.
+    """
+    evidence = dict(evidence)
+    targets = _unobserved_targets(network, evidence)
+    te = query(network, targets + tuple(sorted(evidence)))
+    joint = Factor(targets, sum_to(network, te, targets, evidence))
+    pe = _evidence_mass(joint, evidence)
+    return ExplanationTables(prior=Factor(targets, sum_to(network, te, targets)),
+                             joint=joint, pe=pe), te
 
 
 def prob(network: Network, assignment: Assignment, evidence: Assignment | None = None) -> float:

@@ -7,6 +7,8 @@ is evaluated directly from its own parameters rather than through expand_cpt.
 replaced, kept as the reference for its sub-assignment lookup.
 ``minfill_order`` recomputes every fill count at every step; it is the
 reference for ``infer._minfill_order``, which keeps the counts up to date.
+``do_joint``, ``causal_flow`` and ``causal_explanation_tree`` take every
+intervention by truncated factorisation, never through ``infer.mutilate``.
 """
 
 import itertools
@@ -175,3 +177,109 @@ def minfill_order(scopes, keep):
         todo.remove(v)
         order.append(v)
     return order
+
+
+def do_joint(network, var, state):
+    """Joint after do(var = state) as {configuration: probability}, by
+    truncated factorisation: every CPT but var's, with var fixed at state."""
+    names = network.names()
+    parents = {n: network.cpt(n).parents for n in names}
+    table = {}
+    for config in itertools.product(*(network.states(n) for n in names)):
+        at = dict(zip(names, config))
+        p = 0.0
+        if at[var] == state:
+            p = 1.0
+            for n in names:
+                if n != var:
+                    p *= cpt_prob(network, n, at[n], tuple(at[q] for q in parents[n]))
+        table[config] = p
+    return table
+
+
+def causal_flow(network, joint_table, do_joints, var, evidence, branch):
+    """CET's causal flow from var to the evidence variables at a branch.
+
+    Each state s of var weighs P(var = s | branch, e). Its outcome
+    distribution is P(E | branch) under do(var = s), read from
+    do_joints[(var, s)] (`do_joint`). The flow is the weighted symmetrized
+    KL divergence of each outcome distribution against the weighted mixture,
+    on that distribution's support.
+    """
+    evidence_vars = sorted(evidence)
+    context = {**branch, **evidence}
+    pc = mass(network, joint_table, context)
+    if pc == 0.0:
+        return 0.0
+    cells = list(itertools.product(*(network.states(v) for v in evidence_vars)))
+    weights, dists = {}, {}
+    for s in network.states(var):
+        w = mass(network, joint_table, {**context, var: s}) / pc
+        if w == 0.0:
+            continue
+        d = [mass(network, do_joints[var, s], {**branch, **dict(zip(evidence_vars, c))})
+             for c in cells]
+        z = sum(d)
+        if z == 0.0:
+            continue
+        weights[s] = w
+        dists[s] = [x / z for x in d]
+    mix = [sum(weights[s] * d[i] for s, d in dists.items()) for i in range(len(cells))]
+    flow = 0.0
+    for s, d in dists.items():
+        flow += weights[s] * sum((p - q) * math.log(p / q) for p, q in zip(d, mix) if p > 0.0)
+    return max(0.0, flow)
+
+
+class RoundOffTie(Exception):
+    """A CET choice that round-off could turn either way."""
+
+
+def causal_explanation_tree(network, joint_table, evidence, threshold, close):
+    """CET by enumeration, in the dict form of `baselines.tree_doc`.
+
+    The node at a branch installs the unused target of highest causal flow
+    (ties by name). The root is always installed; a deeper branch is a leaf
+    when P(branch, e) = 0 or its best flow is below threshold. Labels are
+    ln P(e | branch) - ln P(e), -inf for an impossible branch. Raises
+    RoundOffTie when a choice that shapes the tree compares two values that
+    close(a, b) calls equal: the top two flows of an installed node, or the
+    best flow and a positive threshold.
+    """
+    targets = [t for t in network.targets if t not in evidence]
+    do_joints = {(v, s): do_joint(network, v, s) for v in targets for s in network.states(v)}
+    pe = mass(network, joint_table, evidence)
+
+    def label(branch):
+        pbe = mass(network, joint_table, {**branch, **evidence})
+        if pbe == 0.0:
+            return -math.inf
+        return math.log(pbe / mass(network, joint_table, branch) / pe)
+
+    def grow(unused, branch):
+        if not unused:
+            return None
+        root = not branch
+        if not root and mass(network, joint_table, {**branch, **evidence}) == 0.0:
+            return None
+        crit = {v: causal_flow(network, joint_table, do_joints, v, evidence, branch)
+                for v in unused}
+        ranked = sorted(unused, key=lambda v: (-crit[v], v))
+        best = ranked[0]
+        if not root:
+            # a flow is never below 0, so a threshold of at most 0 cannot flip
+            if threshold > 0.0 and close(crit[best], threshold):
+                raise RoundOffTie(f"flow {crit[best]!r} of {best} at {branch} "
+                                  f"meets the threshold {threshold}")
+            if crit[best] < threshold:
+                return None
+        if len(ranked) > 1 and close(crit[best], crit[ranked[1]]):
+            raise RoundOffTie(f"flows of {best} and {ranked[1]} at {branch}: "
+                              f"{crit[best]!r} and {crit[ranked[1]]!r}")
+        rest = [u for u in unused if u != best]
+        return {"variable": best, "criterion": crit[best], "branches": [
+            {"state": s, "label": label({**branch, best: s}),
+             "child": grow(rest, {**branch, best: s})}
+            for s in network.states(best)]}
+
+    return grow(targets, {})

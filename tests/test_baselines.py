@@ -352,23 +352,39 @@ def _reaches_last_level(node, n, floor, depth=0) -> bool:
 
 
 def test_trees_make_a_fixed_number_of_ve_runs(monkeypatch, nets, scenarios):
-    # CET: P(T), P(T, e) and one outcome table per unobserved target. ET:
-    # P(T) and P(T, e), plus P(T, E) once some node reaches the last level.
+    # CET: one P(T, E), which every root target shares, plus one outcome table
+    # per unobserved target with parents, on a network cut for that target
+    # alone. ET: P(T) and P(T, e), plus P(T, E) once some node reaches the
+    # last level.
     calls = _count_queries(monkeypatch)
+    cut = []
+    real_mutilate = infer.mutilate
+
+    def counted_mutilate(network, variables):
+        cut.append(tuple(variables))
+        return real_mutilate(network, variables)
+
+    monkeypatch.setattr(infer, "mutilate", counted_mutilate)
     et_runs = set()
+    cet_runs = set()
     for params in (BaselineParams(), BaselineParams(mi_threshold=0.0, flow_threshold=0.0)):
         for sid, fid, evidence in scenarios:
             net = nets[fid]
             n = sum(t not in evidence for t in net.targets)
+            children = sorted(t for t in net.targets if t not in evidence and net.parents(t))
             calls.clear()
+            cut.clear()
             causal_explanation_tree(net, evidence, params)
-            assert len(calls) == 2 + n, (sid, params)
+            assert len(calls) == 1 + len(children), (sid, params)
+            assert sorted(cut) == [(t,) for t in children], (sid, params)
+            cet_runs.add(len(calls))
             calls.clear()
             tree = explanation_tree(net, evidence, params)
             assert len(calls) == 2 + _reaches_last_level(tree, n, params.branch_floor), \
                 (sid, params)
             et_runs.add(len(calls))
     assert et_runs == {2, 3}
+    assert cet_runs == {1, 2, 4}
 
 
 def test_causal_flow_zero_without_directed_path(nets):

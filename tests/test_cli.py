@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -71,6 +72,50 @@ def test_explain_tree_json(capsys):
     doc = json.loads(out)
     assert doc["tree"]["variable"] == "Practice"
     assert [b["state"] for b in doc["tree"]["branches"]] == ["good", "average", "bad"]
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard Infinity, -Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _leaves(doc):
+    if isinstance(doc, dict):
+        for v in doc.values():
+            yield from _leaves(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _leaves(v)
+    else:
+        yield doc
+
+
+def test_explain_json_writes_infinite_labels_as_strings(capsys):
+    code, out, _ = run(capsys, "explain", "--fixture", "circuit2",
+                       "--evidence", "E=low", "--method", "cetree",
+                       "--threshold-flow", "0", "--format", "json")
+    assert code == 0
+    leaves = list(_leaves(_strict_json(out)["tree"]))
+    assert "-inf" in leaves
+    assert not any(isinstance(x, float) and not math.isfinite(x) for x in leaves)
+
+
+def test_explain_json_writes_infinite_scores_as_strings(capsys):
+    code, out, _ = run(capsys, "explain", "--fixture", "circuit2",
+                       "--evidence", "E=high", "--method", "mre", "--format", "json")
+    assert code == 0
+    row = _strict_json(out)["rows"][0]
+    assert row["explanation"] == {"OK3": "ok"}
+    assert row["score"] == "inf"
+    assert row["posterior"] == 1.0
+    code, out, _ = run(capsys, "explain", "--fixture", "circuit2",
+                       "--evidence", "E=high", "--verbose", "--format", "json")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["rows"][0]["score"] == "inf"
+    assert doc["pruned"] and all(p["winner_score"] == "inf" for p in doc["pruned"])
 
 
 def test_explain_k_limits_rows(capsys):

@@ -1,8 +1,10 @@
 """Explanation tables against the brute-force oracle.
 
 Every method reads P(T) and P(T, e) over the unobserved targets. These tests
-hold the numbers derived from those tables to `oracle.mass`, and check that a
-target bound by the evidence is never part of an explanation.
+hold the numbers derived from those tables to `oracle.mass`, check that a
+target bound by the evidence is never part of an explanation, and check that
+the one-run tables CET reads agree with the two-run tables and refuse the
+same inputs.
 """
 import itertools
 import math
@@ -13,6 +15,7 @@ import pytest
 import oracle
 from test_properties import random_net
 from bnexplain.baselines import causal_explanation_tree, explanation_tree, k_map, k_simp
+from bnexplain.infer import ImpossibleEvidenceError, evidence_joint_tables, explanation_tables
 from bnexplain.kmre import k_mre
 from bnexplain.search import mre, score_all
 
@@ -142,3 +145,31 @@ def test_empty_evidence_is_refused(nets, method):
     # Every GBF is exactly 1 without evidence; a ranking would order round-off.
     with pytest.raises(ValueError, match="evidence must be nonempty"):
         method(nets["asia"], {})
+
+
+@pytest.mark.parametrize("fid, evidence, error", [
+    ("asia", {}, ValueError),
+    ("vacation1", {"Healthy": "healthy", "Location": "home", "Alive": "alive"}, ValueError),
+    ("asia", {"Nothing": "yes"}, ValueError),
+    ("asia", {"Dyspnea": "maybe"}, ValueError),
+    ("circuit", {"Input": "noCurr"}, ImpossibleEvidenceError),
+], ids=["empty", "every-target-observed", "unknown-variable", "unknown-state", "impossible"])
+def test_both_ways_of_building_the_tables_refuse_alike(nets, fid, evidence, error):
+    refusals = []
+    for build in (explanation_tables, evidence_joint_tables, causal_explanation_tree):
+        with pytest.raises(error) as info:
+            build(nets[fid], evidence)
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals == [(error, refusals[0][1])] * 3
+
+
+def test_one_run_tables_match_the_two_run_tables(nets, scenarios):
+    for sid, fid, evidence in scenarios:
+        want = explanation_tables(nets[fid], evidence)
+        got, te = evidence_joint_tables(nets[fid], evidence)
+        assert te.scope == want.targets + tuple(sorted(evidence)), sid
+        for name in ("prior", "joint"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.scope == w.scope, sid
+            assert g.values == pytest.approx(w.values, rel=1e-12, abs=1e-300), (sid, name)
+        assert got.pe == pytest.approx(want.pe, rel=1e-12), sid
