@@ -7,7 +7,6 @@ precisely; see the docstrings of the individual methods.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -24,6 +23,11 @@ from .search import ScoredExplanation, _check_k
 # are exact in real arithmetic survive round-off while tiny joints and
 # likelihoods still rank by size.
 _KEY_DECIMALS = 10
+
+# A causal flow that is 0 in exact arithmetic comes out as squared round-off,
+# about 1e-30; a flow below this counts as exactly 0, so that targets without
+# a causal path to the evidence tie and the name tie-break orders them.
+ZERO_FLOW = 1e-15
 
 
 def _r(x: float) -> float:
@@ -77,15 +81,15 @@ def k_map(network: Network, evidence: Assignment, k: int = 3) -> list[ScoredExpl
     enumeration order (targets in declared order, rightmost fastest).
     """
     _check_k(k)
-    return _k_map(network, explanation_tables(network, evidence), k)
+    return _k_map(explanation_tables(network, evidence), k)
 
 
-def _k_map(network: Network, tables: ExplanationTables, k: int) -> list[ScoredExplanation]:
+def _k_map(tables: ExplanationTables, k: int) -> list[ScoredExplanation]:
     targets = tables.targets
     joints = tables.joint.values.ravel().tolist()
     priors = tables.prior.values.ravel().tolist()
     top = sorted(range(len(joints)), key=lambda i: (-_r(joints[i]), -_r(priors[i]), i))[:k]
-    configs = list(itertools.product(*(network.states(v) for v in targets)))
+    configs = list(itertools.product(*(tables.network.states(v) for v in targets)))
     return [ScoredExplanation(bindings=tuple(zip(targets, configs[i])), kind="joint",
                               value=joints[i], prior=priors[i], order=i)
             for i in top]
@@ -94,12 +98,12 @@ def _k_map(network: Network, tables: ExplanationTables, k: int) -> list[ScoredEx
 # ---------------------------------------------------------------------------
 # K-SIMP
 
-def _likelihood(network: Network, tables: ExplanationTables, x: Assignment) -> float:
+def _likelihood(tables: ExplanationTables, x: Assignment) -> float:
     """P(e | x) as P(x, e) / P(x), read from the tables."""
-    px = float(sum_to(network, tables.prior, at=x))
+    px = float(sum_to(tables.network, tables.prior, at=x))
     if px <= 0.0:
         raise ValueError(f"conditioning assignment {dict(x)} has probability 0")
-    return float(sum_to(network, tables.joint, at=x)) / px
+    return float(sum_to(tables.network, tables.joint, at=x)) / px
 
 
 def k_simp(network: Network, evidence: Assignment,
@@ -114,19 +118,19 @@ def k_simp(network: Network, evidence: Assignment,
     ranked by likelihood, then by fewer variables.
     """
     tables = explanation_tables(network, evidence)
-    maps = [m for m in _k_map(network, tables, params.k) if m.value > 0.0]
+    maps = [m for m in _k_map(tables, params.k) if m.value > 0.0]
     declared = {name: i for i, name in enumerate(network.names())}
 
     results = []
     for m in maps:
         cur = m.assignment()
-        like = _likelihood(network, tables, cur)
+        like = _likelihood(tables, cur)
         bound = (1.0 - params.simplify_factor) * like
         while len(cur) > 1:
             best = None
             for v in cur:
                 trial = {u: s for u, s in cur.items() if u != v}
-                lt = _likelihood(network, tables, trial)
+                lt = _likelihood(tables, trial)
                 if lt >= bound:
                     key = (_r(lt), declared[v])
                     if best is None or key > best[0]:
@@ -172,8 +176,8 @@ def _entropy(values: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _grow(network: Network, tables: ExplanationTables, choose, label, floor: float,
-          threshold: float, unused: list[str], branch: Assignment) -> TreeNode | None:
+def _grow(tables: ExplanationTables, choose, label, floor: float, threshold: float,
+          unused: list[str], branch: Assignment) -> TreeNode | None:
     """The (sub)tree below branch over the unused targets; the root is the
     empty branch.
 
@@ -185,17 +189,17 @@ def _grow(network: Network, tables: ExplanationTables, choose, label, floor: flo
     if not unused:
         return None
     root = not branch
-    if not root and float(sum_to(network, tables.joint, at=branch)) / tables.pe <= floor:
+    if not root and float(sum_to(tables.network, tables.joint, at=branch)) / tables.pe <= floor:
         return None
     best, crit = choose(unused, branch)
     if not root and crit < threshold:
         return None
     rest = [u for u in unused if u != best]
     branches = []
-    for s in network.states(best):
+    for s in tables.network.states(best):
         nb = {**branch, best: s}
         branches.append(TreeBranch(state=s, label=label(nb), child=_grow(
-            network, tables, choose, label, floor, threshold, rest, nb)))
+            tables, choose, label, floor, threshold, rest, nb)))
     return TreeNode(var=best, criterion=crit, branches=tuple(branches))
 
 
@@ -214,18 +218,13 @@ def explanation_tree(network: Network, evidence: Assignment,
     branch_floor. Branch labels are P(branch | e).
 
     The last-level criterion is a slice of P(T, E) over the evidence variables
-    E, built when a node first reaches the last level. Everything else is a
-    slice of P(T, e).
+    E (`ExplanationTables.evidence_joint`), built when a node first reaches
+    the last level. Everything else is a slice of P(T, e).
     """
-    evidence_vars = tuple(sorted(evidence))
     tables = explanation_tables(network, evidence)
 
     def joint(branch, keep=()):
         return sum_to(network, tables.joint, keep, branch)
-
-    @functools.cache
-    def joint_te():
-        return query(network, tables.targets + evidence_vars)
 
     def pick(unused, branch):
         pair_mi = {pair: infer.table_mutual_information(joint(branch, pair))
@@ -236,7 +235,7 @@ def explanation_tree(network: Network, evidence: Assignment,
             if others:
                 crit = max(pair_mi[tuple(sorted((v, u)))] for u in others)
             else:
-                te = sum_to(network, joint_te(), (v,) + evidence_vars, branch)
+                te = sum_to(network, tables.evidence_joint(), (v,) + tables.evidence_vars, branch)
                 crit = infer.table_mutual_information(te.reshape(network.card(v), -1))
             ent = _entropy(joint(branch, (v,)))
             ranked.append((-crit, -ent, v))
@@ -247,65 +246,43 @@ def explanation_tree(network: Network, evidence: Assignment,
     def label(branch):
         return float(joint(branch)) / tables.pe
 
-    return _grow(network, tables, pick, label, params.branch_floor, params.mi_threshold,
+    return _grow(tables, pick, label, params.branch_floor, params.mi_threshold,
                  list(tables.targets), {})
 
 
-class _CausalFlows:
-    """Causal flow of the variables of `joint` at branches over the others.
+def _flow(network: Network, joint: Factor, outcome, evidence_vars: tuple[str, ...],
+          var: str, branch: Assignment) -> float:
+    """Causal flow of a variable of `joint` at a branch over the others.
 
-    `joint` holds P(scope, e). A variable's outcome table is over the scope
-    and the evidence variables; its slice at {**branch, var: state},
-    normalised, is the outcome distribution of do(var = state). For a
-    variable with parents it is one VE run on the network with var's incoming
-    arcs cut, which swaps var's CPT for a uniform prior (truncated
-    factorisation). For a root, cutting its arcs swaps only its prior, and
-    the per-state normalisation cancels any prior, so every root reads the
-    unmutilated P(scope, E): one cache entry, `te` when the caller already
-    holds it. A state with prior 0 has weight exactly 0 and is skipped before
-    its slice is read.
+    `joint` holds P(scope, e). outcome(var) gives a table over the scope and
+    the evidence variables whose slice at {**branch, var: state}, normalised,
+    is the outcome distribution of do(var = state). A state with weight 0 is
+    skipped before its slice is read. Flows below ZERO_FLOW are 0.
     """
-
-    def __init__(self, network: Network, joint: Factor, evidence_vars: tuple[str, ...],
-                 te: Factor | None = None):
-        self.network = network
-        self.joint = joint
-        self.evidence_vars = evidence_vars
-        self._outcomes: dict[str | None, Factor] = {} if te is None else {None: te}
-
-    def _outcome(self, var: str) -> Factor:
-        key = var if self.network.parents(var) else None
-        if key not in self._outcomes:
-            net = self.network if key is None else infer.mutilate(self.network, (var,))
-            self._outcomes[key] = query(net, self.joint.scope + self.evidence_vars)
-        return self._outcomes[key]
-
-    def flow(self, var: str, branch: Assignment) -> float:
-        net = self.network
-        w = sum_to(net, self.joint, (var,), branch)
-        z = w.sum()
-        if z == 0.0:
-            return 0.0
-        w = (w / z).tolist()
-        dists = {}
-        for i, state in enumerate(net.states(var)):
-            if w[i] == 0.0:
-                continue
-            d = sum_to(net, self._outcome(var), self.evidence_vars,
-                       {**branch, var: state}).ravel()
-            pc = d.sum()
-            if pc == 0.0:
-                continue  # intervention makes the branch impossible
-            dists[i] = d / pc
-        if not dists:
-            return 0.0
-        mix = sum(w[i] * d for i, d in dists.items())
-        flow = 0.0
-        for i, d in dists.items():
-            mask = d > 0
-            p, q = d[mask], mix[mask]
-            flow += w[i] * float(((p - q) * np.log(p / q)).sum())
-        return max(0.0, flow)
+    w = sum_to(network, joint, (var,), branch)
+    z = w.sum()
+    if z == 0.0:
+        return 0.0
+    w = (w / z).tolist()
+    table = outcome(var)
+    dists = {}
+    for i, state in enumerate(network.states(var)):
+        if w[i] == 0.0:
+            continue
+        d = sum_to(network, table, evidence_vars, {**branch, var: state}).ravel()
+        pc = d.sum()
+        if pc == 0.0:
+            continue  # intervention makes the branch impossible
+        dists[i] = d / pc
+    if not dists:
+        return 0.0
+    mix = sum(w[i] * d for i, d in dists.items())
+    flow = 0.0
+    for i, d in dists.items():
+        mask = d > 0
+        p, q = d[mask], mix[mask]
+        flow += w[i] * float(((p - q) * np.log(p / q)).sum())
+    return flow if flow >= ZERO_FLOW else 0.0
 
 
 def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
@@ -316,12 +293,16 @@ def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
     the interventional outcome distributions condition on the branch only
     (interventions are judged against the pre-observation world). The
     divergence is the symmetrized KL of each outcome distribution against
-    the weighted mixture, restricted to each intervention's support.
+    the weighted mixture, restricted to each intervention's support. A flow
+    below ZERO_FLOW is returned as exactly 0.
     """
     if var in branch or var in evidence_vars:
         raise ValueError(f"{var!r} is bound by the branch or among the evidence variables")
     joint = query(network, (var, *branch), evidence)
-    return _CausalFlows(network, joint, tuple(evidence_vars)).flow(var, branch)
+    evidence_vars = tuple(evidence_vars)
+    return _flow(network, joint, lambda v: query(
+        infer.mutilate(network, (v,)) if network.parents(v) else network,
+        joint.scope + evidence_vars), evidence_vars, var, branch)
 
 
 def causal_explanation_tree(network: Network, evidence: Assignment,
@@ -336,15 +317,16 @@ def causal_explanation_tree(network: Network, evidence: Assignment,
     One VE run gives P(T, E) over the unobserved targets T and the evidence
     variables E (`infer.evidence_joint_tables`). P(T) is its sum over E,
     P(T, e) its slice at e, and every root target reads its outcome
-    distributions from it (`_CausalFlows`). Each target with parents adds
-    one run on the network with its arcs cut: 1 + |targets with parents|
-    runs in all.
+    distributions from it (`ExplanationTables.outcome`). Each target with
+    parents adds one run on the network with its arcs cut:
+    1 + |targets with parents| runs in all. Flows below ZERO_FLOW are 0, so
+    targets without a causal path to the evidence tie and go by name.
     """
-    tables, te = infer.evidence_joint_tables(network, evidence)
-    flows = _CausalFlows(network, tables.joint, tuple(sorted(evidence)), te)
+    tables = infer.evidence_joint_tables(network, evidence)
 
     def pick(unused, branch):
-        crit = {v: flows.flow(v, branch) for v in sorted(unused)}
+        crit = {v: _flow(network, tables.joint, tables.outcome, tables.evidence_vars, v, branch)
+                for v in sorted(unused)}
         best = min(crit, key=lambda v: (-crit[v], v))
         return best, crit[best]
 
@@ -353,8 +335,7 @@ def causal_explanation_tree(network: Network, evidence: Assignment,
         pbe = float(sum_to(network, tables.joint, at=branch))
         return math.log(pbe / pb / tables.pe) if pbe > 0.0 else -math.inf
 
-    return _grow(network, tables, pick, label, 0.0, params.flow_threshold,
-                 list(tables.targets), {})
+    return _grow(tables, pick, label, 0.0, params.flow_threshold, list(tables.targets), {})
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,11 @@ surgery for interventions.
 
 Production inference is variable elimination with a min-fill ordering; the
 brute-force joint is kept as a testing oracle. A VE run reads only the CPTs
-of the queried and conditioned variables and their ancestors: every other
-variable is barren and sums out to 1. The explanation methods read their
-probabilities from two tables per query, P(T) and P(T, e) over the
-unobserved targets (`explanation_tables`); when the targets are roots, P(T)
-is the product of their priors. The causal explanation tree reads both from
-one P(T, E) table over the evidence variables (`evidence_joint_tables`).
-All information measures are in nats.
+of the queried and conditioned variables and their ancestors. One
+`ExplanationTables` holds every table of an explanation query: MRE, K-MRE,
+K-MAP, K-SIMP and ET build it by two runs, P(T) and P(T, e) over the
+unobserved targets (`explanation_tables`), and CET by one run of P(T, E)
+over the evidence variables too (`evidence_joint_tables`). Nats throughout.
 """
 from __future__ import annotations
 
@@ -209,17 +207,40 @@ def sum_to(network: Network, f: Factor, keep: tuple[str, ...] = (),
     return np.transpose(values, [kept.index(v) for v in keep])
 
 
-@dataclass(frozen=True)
 class ExplanationTables:
-    """P(T) and P(T, e) over the unobserved targets T, in declared order."""
+    """Every table of one (network, evidence) query, each built once.
 
-    prior: Factor
-    joint: Factor
-    pe: float
+    `prior` P(T) and `joint` P(T, e) are over the unobserved targets T in
+    declared order, and `pe` is P(e). The tables over T and the sorted
+    evidence variables E are built by one VE run each on first use and kept.
+    """
 
-    @property
-    def targets(self) -> tuple[str, ...]:
-        return self.joint.scope
+    def __init__(self, network: Network, evidence: Assignment, prior: Factor,
+                 joint: Factor, pe: float, evidence_joint: Factor | None = None):
+        self.network = network
+        self.evidence = evidence
+        self.evidence_vars = tuple(sorted(evidence))
+        self.prior = prior
+        self.joint = joint
+        self.pe = pe
+        self.targets = joint.scope
+        self._runs = {} if evidence_joint is None else {None: evidence_joint}
+
+    def evidence_joint(self) -> Factor:
+        """P(T, E), not conditioned on e."""
+        return self._run(None)
+
+    def outcome(self, var: str) -> Factor:
+        """P(T, E) with var's incoming arcs cut: sliced at var = s and
+        normalised, the outcome distribution of do(var = s). A root target
+        reads `evidence_joint()`, as the normalisation cancels its prior."""
+        return self._run(var if self.network.parents(var) else None)
+
+    def _run(self, cut: str | None) -> Factor:
+        if cut not in self._runs:
+            net = self.network if cut is None else mutilate(self.network, (cut,))
+            self._runs[cut] = query(net, self.targets + self.evidence_vars)
+        return self._runs[cut]
 
 
 def _unobserved_targets(network: Network, evidence: Assignment) -> tuple[str, ...]:
@@ -253,27 +274,25 @@ def explanation_tables(network: Network, evidence: Assignment) -> ExplanationTab
     targets = _unobserved_targets(network, evidence)
     joint = query(network, targets, evidence)
     pe = _evidence_mass(joint, evidence)
-    return ExplanationTables(prior=query(network, targets), joint=joint, pe=pe)
+    return ExplanationTables(network, evidence, query(network, targets), joint, pe)
 
 
-def evidence_joint_tables(network: Network,
-                          evidence: Assignment) -> tuple[ExplanationTables, Factor]:
-    """The tables of `explanation_tables`, read from one VE run, and that run.
+def evidence_joint_tables(network: Network, evidence: Assignment) -> ExplanationTables:
+    """The tables of `explanation_tables`, read from one VE run of P(T, E),
+    which the holder keeps as its `evidence_joint()`.
 
-    The run is P(T, E) over the unobserved targets T and the sorted evidence
-    variables E, not conditioned on e. P(T) is its sum over E, P(T, e) its
-    slice at e, and P(e) the sum of that slice. Inputs are checked and
-    refused exactly as by `explanation_tables`. Restricting to e makes P(T, e)
-    cheaper than P(T, E), so this pays only for a caller that reads P(T, E)
-    anyway.
+    P(T) is the sum of P(T, E) over E, P(T, e) its slice at e and P(e) the
+    sum of that slice. Inputs are refused exactly as by `explanation_tables`.
+    P(T, e) alone is cheaper, so this pays only for a caller that reads
+    P(T, E) anyway.
     """
     evidence = dict(evidence)
     targets = _unobserved_targets(network, evidence)
     te = query(network, targets + tuple(sorted(evidence)))
     joint = Factor(targets, sum_to(network, te, targets, evidence))
     pe = _evidence_mass(joint, evidence)
-    return ExplanationTables(prior=Factor(targets, sum_to(network, te, targets)),
-                             joint=joint, pe=pe), te
+    return ExplanationTables(network, evidence, Factor(targets, sum_to(network, te, targets)),
+                             joint, pe, te)
 
 
 def prob(network: Network, assignment: Assignment, evidence: Assignment | None = None) -> float:

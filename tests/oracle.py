@@ -9,11 +9,15 @@ replaced, kept as the reference for its sub-assignment lookup.
 reference for ``infer._minfill_order``, which keeps the counts up to date.
 ``do_joint``, ``causal_flow`` and ``causal_explanation_tree`` take every
 intervention by truncated factorisation, never through ``infer.mutilate``.
+``explanation_tree`` and ``k_simp`` follow the documented rules of
+``baselines.explanation_tree`` and ``baselines.k_simp`` on the enumerated joint.
 """
 
+import functools
 import itertools
 import math
 
+from bnexplain.baselines import ZERO_FLOW
 from bnexplain.kmre import REL_TOL, DominanceVerdict
 
 
@@ -204,8 +208,14 @@ def causal_flow(network, joint_table, do_joints, var, evidence, branch):
     distribution is P(E | branch) under do(var = s), read from
     do_joints[(var, s)] (`do_joint`). The flow is the weighted symmetrized
     KL divergence of each outcome distribution against the weighted mixture,
-    on that distribution's support.
+    on that distribution's support; a flow below ZERO_FLOW is 0.
     """
+    flow = _divergence(network, joint_table, do_joints, var, evidence, branch)
+    return flow if flow >= ZERO_FLOW else 0.0
+
+
+def _divergence(network, joint_table, do_joints, var, evidence, branch):
+    """`causal_flow` before flows below ZERO_FLOW are set to 0."""
     evidence_vars = sorted(evidence)
     context = {**branch, **evidence}
     pc = mass(network, joint_table, context)
@@ -239,12 +249,13 @@ def causal_explanation_tree(network, joint_table, evidence, threshold, close):
     """CET by enumeration, in the dict form of `baselines.tree_doc`.
 
     The node at a branch installs the unused target of highest causal flow
-    (ties by name). The root is always installed; a deeper branch is a leaf
-    when P(branch, e) = 0 or its best flow is below threshold. Labels are
-    ln P(e | branch) - ln P(e), -inf for an impossible branch. Raises
-    RoundOffTie when a choice that shapes the tree compares two values that
-    close(a, b) calls equal: the top two flows of an installed node, or the
-    best flow and a positive threshold.
+    (ties by name, so two flows of exactly 0 go by name). The root is always
+    installed; a deeper branch is a leaf when P(branch, e) = 0 or its best
+    flow is below threshold. Labels are ln P(e | branch) - ln P(e), -inf for
+    an impossible branch. Raises RoundOffTie when a choice that shapes the
+    tree compares two values that close(a, b) calls equal: the top two flows
+    of an installed node unless both are 0, the best flow and a positive
+    threshold, or any flow and ZERO_FLOW (as close(flow / ZERO_FLOW, 1)).
     """
     targets = [t for t in network.targets if t not in evidence]
     do_joints = {(v, s): do_joint(network, v, s) for v in targets for s in network.states(v)}
@@ -262,8 +273,12 @@ def causal_explanation_tree(network, joint_table, evidence, threshold, close):
         root = not branch
         if not root and mass(network, joint_table, {**branch, **evidence}) == 0.0:
             return None
-        crit = {v: causal_flow(network, joint_table, do_joints, v, evidence, branch)
-                for v in unused}
+        raw = {v: _divergence(network, joint_table, do_joints, v, evidence, branch)
+               for v in unused}
+        for v, flow in raw.items():
+            if close(flow / ZERO_FLOW, 1.0):
+                raise RoundOffTie(f"flow {flow!r} of {v} at {branch} meets ZERO_FLOW")
+        crit = {v: flow if flow >= ZERO_FLOW else 0.0 for v, flow in raw.items()}
         ranked = sorted(unused, key=lambda v: (-crit[v], v))
         best = ranked[0]
         if not root:
@@ -273,7 +288,7 @@ def causal_explanation_tree(network, joint_table, evidence, threshold, close):
                                   f"meets the threshold {threshold}")
             if crit[best] < threshold:
                 return None
-        if len(ranked) > 1 and close(crit[best], crit[ranked[1]]):
+        if len(ranked) > 1 and crit[best] > 0.0 and close(crit[best], crit[ranked[1]]):
             raise RoundOffTie(f"flows of {best} and {ranked[1]} at {branch}: "
                               f"{crit[best]!r} and {crit[ranked[1]]!r}")
         rest = [u for u in unused if u != best]
@@ -283,3 +298,163 @@ def causal_explanation_tree(network, joint_table, evidence, threshold, close):
             for s in network.states(best)]}
 
     return grow(targets, {})
+
+
+def _evidence_information(network, joint_table, var, evidence_vars, branch):
+    """I(var ; E | branch) in nats, the evidence variables E taken as one."""
+    pb = mass(network, joint_table, branch)
+    total = 0.0
+    for cell in itertools.product(*(network.states(v) for v in evidence_vars)):
+        at = {**branch, **dict(zip(evidence_vars, cell))}
+        pc = mass(network, joint_table, at) / pb
+        for s in network.states(var):
+            pj = mass(network, joint_table, {**at, var: s}) / pb
+            pv = mass(network, joint_table, {**branch, var: s}) / pb
+            if pj > 0.0:
+                total += pj * math.log(pj / (pc * pv))
+    return max(total, 0.0)
+
+
+def _entropy(network, joint_table, var, context):
+    pc = mass(network, joint_table, context)
+    ps = [mass(network, joint_table, {**context, var: s}) / pc for s in network.states(var)]
+    return -sum(p * math.log(p) for p in ps if p > 0.0)
+
+
+def explanation_tree(network, joint_table, evidence, mi_threshold, branch_floor, close):
+    """ET by enumeration, in the dict form of `baselines.tree_doc`.
+
+    The node at a branch installs the unused target of highest criterion:
+    the largest I(v ; u | branch, e) over the other unused targets u, or,
+    for the last one, I(v ; E | branch) with the evidence variables E taken
+    as one. Ties go to the higher entropy of P(v | branch, e), then to the
+    smaller name. The root is always installed; a deeper branch is a leaf
+    when P(branch | e) <= branch_floor or its criterion is below
+    mi_threshold. Labels are P(branch | e).
+
+    Both members of a pair share its information, so the top two criteria
+    are often one number; the engine computes each pair once, so such a tie
+    is exact there too and goes to entropy. Raises RoundOffTie when a choice
+    that shapes the tree compares two values that close(a, b) calls equal
+    and that the engine need not hold as one float: the best criterion and
+    another that is not its pair's, two entropies of a shared pair, or the
+    mass or criterion of a deeper branch and a positive floor or threshold.
+    """
+    targets = [t for t in network.targets if t not in evidence]
+    evidence_vars = sorted(evidence)
+    pe = mass(network, joint_table, evidence)
+
+    def label(branch):
+        return mass(network, joint_table, {**branch, **evidence}) / pe
+
+    def choose(unused, branch):
+        """The best target, its criterion and why round-off could flip it."""
+        context = {**branch, **evidence}
+        if len(unused) == 1:
+            v = unused[0]
+            return v, _evidence_information(network, joint_table, v, evidence_vars, branch), None
+        pair = {frozenset(p): mutual_information(network, joint_table, *p, context)
+                for p in itertools.combinations(unused, 2)}
+        crit, top = {}, {}
+        for v in unused:
+            mine = sorted(((x, p) for p, x in pair.items() if v in p), key=lambda t: t[0])
+            crit[v] = mine[-1][0]
+            # the pair that gives v's criterion, unless round-off could pick another
+            top[v] = mine[-1][1] if len(mine) == 1 or not close(*[x for x, _ in mine[-2:]]) else None
+        ent = {v: _entropy(network, joint_table, v, context) for v in unused}
+        best = min(unused, key=lambda v: (-crit[v], -ent[v], v))
+        for v in unused:
+            if v == best:
+                continue
+            shared = top[best] == top[v] == frozenset((best, v))
+            if shared and close(ent[best], ent[v]):
+                return best, crit[best], (f"entropies within round-off: {best} and {v} "
+                                          f"at {branch}, {ent[best]!r} and {ent[v]!r}")
+            if not shared and close(crit[best], crit[v]):
+                return best, crit[best], (f"criteria within round-off: {best} and {v} "
+                                          f"at {branch}, {crit[best]!r} and {crit[v]!r}")
+        return best, crit[best], None
+
+    def grow(unused, branch):
+        if not unused:
+            return None
+        root = not branch
+        if not root:
+            mass_e = label(branch)
+            if branch_floor > 0.0 and close(mass_e, branch_floor):
+                raise RoundOffTie(f"mass at the floor: P(branch | e) {mass_e!r} at {branch}")
+            if mass_e <= branch_floor:
+                return None
+        best, crit, tie = choose(unused, branch)
+        if not root:
+            if mi_threshold > 0.0 and close(crit, mi_threshold):
+                raise RoundOffTie(f"criterion at the threshold: {crit!r} of {best} "
+                                  f"at {branch}, threshold {mi_threshold}")
+            if crit < mi_threshold:
+                return None
+        if tie is not None:
+            raise RoundOffTie(tie)
+        rest = [u for u in unused if u != best]
+        return {"variable": best, "criterion": crit, "branches": [
+            {"state": s, "label": label({**branch, best: s}),
+             "child": grow(rest, {**branch, best: s})}
+            for s in network.states(best)]}
+
+    return grow(targets, {})
+
+
+def _larger_first(close, a, b):
+    """cmp for sorted: the larger first, 0 when close(a, b)."""
+    return 0 if close(a, b) else (-1 if a > b else 1)
+
+
+def k_simp(network, joint_table, evidence, k, simplify_factor, close):
+    """K-SIMP by enumeration: [(bindings sorted by name, P(e | bindings))].
+
+    The k MAP configurations of the unobserved targets (by P(x, e), ties by
+    higher P(x), then enumeration order) with P(x, e) > 0 are each shrunk
+    greedily. A variable may go while P(e | rest) >= (1 - simplify_factor)
+    P(e | x) for the original x; each step deletes the one leaving the
+    highest likelihood, ties the latest declared. Duplicate results keep
+    their first occurrence; rows rank by likelihood, then by fewer
+    variables. Values that close(a, b) calls equal tie. Raises RoundOffTie
+    when a deletion's likelihood is close to the bound, since round-off then
+    decides whether the variable may go.
+    """
+    targets = [t for t in network.targets if t not in evidence]
+    declared = network.names()
+    configs = [dict(zip(targets, c))
+               for c in itertools.product(*(network.states(t) for t in targets))]
+    joints = [mass(network, joint_table, {**x, **evidence}) for x in configs]
+    priors = [mass(network, joint_table, x) for x in configs]
+    ranked = sorted(range(len(configs)), key=functools.cmp_to_key(
+        lambda i, j: _larger_first(close, joints[i], joints[j])
+        or _larger_first(close, priors[i], priors[j])))
+
+    def likelihood(x):
+        return mass(network, joint_table, {**x, **evidence}) / mass(network, joint_table, x)
+
+    results = {}
+    for i in ranked[:k]:
+        if joints[i] <= 0.0:
+            continue
+        cur = configs[i]
+        like = likelihood(cur)
+        bound = (1.0 - simplify_factor) * like
+        while len(cur) > 1:
+            trials = {v: likelihood({u: s for u, s in cur.items() if u != v}) for v in cur}
+            for v, lt in trials.items():
+                if close(lt, bound):
+                    raise RoundOffTie(f"likelihood at the bound: deleting {v} from {cur} "
+                                      f"leaves {lt!r}, the bound is {bound!r}")
+            allowed = [v for v in cur if trials[v] >= bound]
+            if not allowed:
+                break
+            top = max(trials[v] for v in allowed)
+            gone = max((v for v in allowed if close(trials[v], top)), key=declared.index)
+            cur = {u: s for u, s in cur.items() if u != gone}
+            like = trials[gone]
+        results.setdefault(tuple(sorted(cur.items())), like)
+    rows = sorted(results.items(), key=functools.cmp_to_key(
+        lambda a, b: _larger_first(close, a[1], b[1]) or len(a[0]) - len(b[0])))
+    return rows[:k]

@@ -16,7 +16,15 @@ from bnexplain.baselines import (
     render_tree,
     tree_doc,
 )
-from bnexplain.infer import ImpossibleEvidenceError, likelihood, prob
+from bnexplain.infer import (
+    ImpossibleEvidenceError,
+    evidence_joint_tables,
+    explanation_tables,
+    likelihood,
+    prob,
+)
+from bnexplain.kmre import k_mre
+from bnexplain.search import mre
 from bnexplain.model import DeterministicCpt, Network, TableCpt, Variable
 
 CIRCUIT_E = {"Input": "current", "TotalOutput": "current"}
@@ -385,6 +393,37 @@ def test_trees_make_a_fixed_number_of_ve_runs(monkeypatch, nets, scenarios):
             et_runs.add(len(calls))
     assert et_runs == {2, 3}
     assert cet_runs == {1, 2, 4}
+
+
+@pytest.mark.parametrize("method", [mre, k_mre, k_map, k_simp])
+def test_ranked_methods_make_two_ve_runs(monkeypatch, nets, scenarios, method):
+    # P(T) and P(T, e) feed every number a ranked method reports.
+    calls = _count_queries(monkeypatch)
+    for sid, fid, evidence in scenarios:
+        calls.clear()
+        method(nets[fid], evidence)
+        assert len(calls) == 2, sid
+
+
+def test_the_holder_builds_each_table_once(monkeypatch, nets):
+    calls = _count_queries(monkeypatch)
+    net, evidence = nets["vacation1"], {"Alive": "alive"}
+    tables = explanation_tables(net, evidence)
+    assert len(calls) == 2
+    te = tables.evidence_joint()
+    assert tables.evidence_joint() is te
+    assert te.scope == ("Healthy", "Location", "Alive")
+    assert tables.outcome("Healthy") is te  # a root: its prior cancels
+    assert len(calls) == 3
+    cut = tables.outcome("Location")
+    assert tables.outcome("Location") is cut
+    assert cut.scope == te.scope
+    assert len(calls) == 4
+
+    calls.clear()
+    tables = evidence_joint_tables(net, evidence)
+    assert tables.outcome("Healthy") is tables.evidence_joint()
+    assert len(calls) == 1
 
 
 def test_causal_flow_zero_without_directed_path(nets):

@@ -2,9 +2,11 @@
 
 The oracle takes each intervention by truncated factorisation from the CPT
 parameters (`oracle.do_joint`), never through `infer.mutilate`, and grows
-its own tree (`oracle.causal_explanation_tree`). Draws on which round-off
-could decide the tree's shape are left out and reported as hypothesis
-events (`pytest --hypothesis-show-statistics`).
+its own tree (`oracle.causal_explanation_tree`). Both count a flow below
+`baselines.ZERO_FLOW` as 0, so flows that are 0 in exact arithmetic tie
+and go by name. Draws on which round-off could decide the tree's shape are
+left out and reported as hypothesis events
+(`pytest --hypothesis-show-statistics`).
 """
 import math
 import random
@@ -107,6 +109,9 @@ def _cases(net, evidence, tree):
 # Pinned draws that together cover every case, so that each run does.
 PINNED = [(0, True, True, 0.01), (0, True, True, 0.0), (6, False, True, 0.01),
           (10, False, False, 0.01)]
+# The observation V4 has no parents, so every flow is 0 in exact arithmetic;
+# the engine's are round-off below ZERO_FLOW.
+ZERO_FLOWS = (6, False, False, 0.01)
 ALL_CASES = {"root target with a zero-prior state", "target that is a child of a target",
              "evidence on a target", "branch binding a descendant of the intervened variable"}
 
@@ -156,3 +161,13 @@ def test_pinned_draws_cover_every_case():
         covered |= cases
     assert covered == ALL_CASES
 
+
+def test_zero_flows_tie_and_go_by_name():
+    net, evidence = _draw(*ZERO_FLOWS[:3])
+    assert not net.parents(net.observations[0])
+    _, tie = _check(*ZERO_FLOWS)
+    assert tie is None
+    evidence_vars = tuple(sorted(evidence))
+    assert [causal_flow(net, v, evidence_vars, {}, evidence) for v in net.targets] == [0.0] * 4
+    tree = causal_explanation_tree(net, evidence, BaselineParams(flow_threshold=ZERO_FLOWS[3]))
+    assert (tree.var, tree.criterion) == ("V0", 0.0)

@@ -166,7 +166,8 @@ def test_both_ways_of_building_the_tables_refuse_alike(nets, fid, evidence, erro
 def test_one_run_tables_match_the_two_run_tables(nets, scenarios):
     for sid, fid, evidence in scenarios:
         want = explanation_tables(nets[fid], evidence)
-        got, te = evidence_joint_tables(nets[fid], evidence)
+        got = evidence_joint_tables(nets[fid], evidence)
+        te = got.evidence_joint()
         assert te.scope == want.targets + tuple(sorted(evidence)), sid
         for name in ("prior", "joint"):
             g, w = getattr(got, name), getattr(want, name)
