@@ -24,14 +24,18 @@ from .search import ScoredExplanation, _check_k
 # likelihoods still rank by size.
 _KEY_DECIMALS = 10
 
-# A causal flow that is 0 in exact arithmetic comes out as squared round-off,
-# about 1e-30; a flow below this counts as exactly 0, so that targets without
-# a causal path to the evidence tie and the name tie-break orders them.
+# Both tree criteria read 0 below this: a flow that is 0 in exact arithmetic
+# comes out near 1e-30, a mutual information at 1e-17 to 3e-16, so that such
+# targets tie and the documented tie-break orders them.
 ZERO_FLOW = 1e-15
 
 
 def _r(x: float) -> float:
     return float(f"{x:.{_KEY_DECIMALS - 1}e}")
+
+
+def _floored(criterion: float) -> float:
+    return criterion if criterion >= ZERO_FLOW else 0.0
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,11 @@ def k_simp(network: Network, evidence: Assignment,
     Each of the k MAP configurations with P(x, e) > 0 is shrunk greedily: a
     variable may be deleted while the evidence likelihood of the reduced
     assignment stays within (1 - simplify_factor) of the ORIGINAL solution's
-    likelihood. Each step deletes the variable leaving the highest likelihood
-    (ties delete the latest-declared variable). Identical results are deduplicated; output is
-    ranked by likelihood, then by fewer variables.
+    likelihood, both at _KEY_DECIMALS significant digits, so a deletion that
+    leaves the likelihood unchanged passes at factor 0. Each step deletes the
+    variable leaving the highest likelihood (ties delete the latest-declared
+    variable). Identical results are deduplicated; output is ranked by
+    likelihood, then by fewer variables.
     """
     tables = explanation_tables(network, evidence)
     maps = [m for m in _k_map(tables, params.k) if m.value > 0.0]
@@ -125,16 +131,15 @@ def k_simp(network: Network, evidence: Assignment,
     for m in maps:
         cur = m.assignment()
         like = _likelihood(tables, cur)
-        bound = (1.0 - params.simplify_factor) * like
+        bound = _r((1.0 - params.simplify_factor) * like)
         while len(cur) > 1:
             best = None
             for v in cur:
                 trial = {u: s for u, s in cur.items() if u != v}
                 lt = _likelihood(tables, trial)
-                if lt >= bound:
-                    key = (_r(lt), declared[v])
-                    if best is None or key > best[0]:
-                        best = (key, v, lt)
+                key = (_r(lt), declared[v])
+                if key[0] >= bound and (best is None or key > best[0]):
+                    best = (key, v, lt)
             if best is None:
                 break
             cur = {u: s for u, s in cur.items() if u != best[1]}
@@ -209,13 +214,13 @@ def explanation_tree(network: Network, evidence: Assignment,
 
     At each node the unused target with the highest criterion is installed:
     the MAXIMUM over the other unused targets of pairwise mutual information
-    with the candidate, conditioned on the branch and the evidence. Ties
-    break toward higher posterior entropy, then lexicographically. The last
-    unused target is judged by its mutual information with the joint evidence
-    variable set given the branch alone, so the deepest level can still
-    expand. The root is always installed; deeper nodes require the criterion
-    to reach mi_threshold and the branch to have conditional mass above
-    branch_floor. Branch labels are P(branch | e).
+    with the candidate, conditioned on the branch and the evidence (0 below
+    ZERO_FLOW). Ties break toward higher posterior entropy, then
+    lexicographically. The last unused target is judged by its mutual
+    information with the joint evidence variable set given the branch alone,
+    so the deepest level can still expand. The root is always installed;
+    deeper nodes require the criterion to reach mi_threshold and the branch
+    to have conditional mass above branch_floor. Branch labels are P(branch | e).
 
     The last-level criterion is a slice of P(T, E) over the evidence variables
     E (`ExplanationTables.evidence_joint`), built when a node first reaches
@@ -237,6 +242,7 @@ def explanation_tree(network: Network, evidence: Assignment,
             else:
                 te = sum_to(network, tables.evidence_joint(), (v,) + tables.evidence_vars, branch)
                 crit = infer.table_mutual_information(te.reshape(network.card(v), -1))
+            crit = _floored(crit)
             ent = _entropy(joint(branch, (v,)))
             ranked.append((-crit, -ent, v))
         ranked.sort()
@@ -282,7 +288,7 @@ def _flow(network: Network, joint: Factor, outcome, evidence_vars: tuple[str, ..
         mask = d > 0
         p, q = d[mask], mix[mask]
         flow += w[i] * float(((p - q) * np.log(p / q)).sum())
-    return flow if flow >= ZERO_FLOW else 0.0
+    return _floored(flow)
 
 
 def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],

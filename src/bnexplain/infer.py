@@ -3,7 +3,10 @@ surgery for interventions.
 
 Production inference is variable elimination with a min-fill ordering; the
 brute-force joint is kept as a testing oracle. A VE run reads only the CPTs
-of the queried and conditioned variables and their ancestors. One
+of the queried and conditioned variables and their ancestors; the network
+keeps that list and the elimination order per query shape, so asking it a
+shape again with other states plans nothing, a new `Network` plans anew,
+and the plans grow with the number of distinct shapes asked. One
 `ExplanationTables` holds every table of an explanation query: MRE, K-MRE,
 K-MAP, K-SIMP and ET build it by two runs, P(T) and P(T, e) over the
 unobserved targets (`explanation_tables`), and CET by one run of P(T, E)
@@ -134,6 +137,9 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
     ancestors are lowered and eliminated. Every other variable is barren: it
     sums out to 1 (Shachter 1986). So the prior over root variables is the
     product of their CPTs, and a query with nothing to read is exactly 1.0.
+    Both the CPTs read and the elimination order depend only on the shape,
+    `variables` and the set of conditioned names; the network keeps them on
+    first use, so a later query of that shape works exactly as the first.
     """
     condition = dict(condition or {})
     check_assignment(network, condition)
@@ -144,18 +150,23 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
     if len(set(variables)) != len(variables):
         raise ValueError(f"a variable is queried twice in {tuple(variables)}")
 
-    relevant = _relevant(network, (*variables, *condition))
+    shape = (tuple(variables), frozenset(condition))
+    names, order = network._plans.get(shape, (None, None))
+    if names is None:
+        relevant = _relevant(network, (*variables, *condition))
+        names = [name for name in network.names() if name in relevant]
     factors = []
-    for name in network.names():
-        if name not in relevant:
-            continue
+    for name in names:
         f = cpt_factor(network, name)
         for var, state in condition.items():
             if var in f.scope:
                 f = restrict(f, var, network.states(var).index(state))
         factors.append(f)
+    if order is None:
+        order = _minfill_order([f.scope for f in factors], set(variables))
+        network._plans[shape] = (names, order)
 
-    for v in _minfill_order([f.scope for f in factors], set(variables)):
+    for v in order:
         bucket = [f for f in factors if v in f.scope]
         factors = [f for f in factors if v not in f.scope]
         prod = bucket[0]

@@ -83,12 +83,17 @@ Cpt = Union[TableCpt, NoisyOrCpt, DeterministicCpt]
 
 @dataclass(frozen=True)
 class Network:
+    """Variables and one CPT each. `infer.query` keeps one plan per query
+    shape in `_plans`, filled on first use, so a new network plans afresh
+    and the plans grow with the shapes asked; ==, hash and repr ignore it."""
+
     variables: tuple[Variable, ...]
     cpts: tuple[Cpt, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "_vars", {v.name: v for v in self.variables})
         object.__setattr__(self, "_cpts", {c.child: c for c in self.cpts})
+        object.__setattr__(self, "_plans", {})
 
     def var(self, name: str) -> Variable:
         try:

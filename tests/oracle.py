@@ -242,7 +242,15 @@ def _divergence(network, joint_table, do_joints, var, evidence, branch):
 
 
 class RoundOffTie(Exception):
-    """A CET choice that round-off could turn either way."""
+    """A tree or K-SIMP choice that round-off could turn either way."""
+
+
+def _floored(value, close, what):
+    """value, or 0 below ZERO_FLOW. Raises RoundOffTie when close(a, b)
+    calls value and ZERO_FLOW equal, as round-off then picks the side."""
+    if close(value / ZERO_FLOW, 1.0):
+        raise RoundOffTie(f"{what} {value!r} meets ZERO_FLOW")
+    return value if value >= ZERO_FLOW else 0.0
 
 
 def causal_explanation_tree(network, joint_table, evidence, threshold, close):
@@ -273,12 +281,9 @@ def causal_explanation_tree(network, joint_table, evidence, threshold, close):
         root = not branch
         if not root and mass(network, joint_table, {**branch, **evidence}) == 0.0:
             return None
-        raw = {v: _divergence(network, joint_table, do_joints, v, evidence, branch)
-               for v in unused}
-        for v, flow in raw.items():
-            if close(flow / ZERO_FLOW, 1.0):
-                raise RoundOffTie(f"flow {flow!r} of {v} at {branch} meets ZERO_FLOW")
-        crit = {v: flow if flow >= ZERO_FLOW else 0.0 for v, flow in raw.items()}
+        crit = {v: _floored(_divergence(network, joint_table, do_joints, v, evidence, branch),
+                            close, f"flow of {v} at {branch}")
+                for v in unused}
         ranked = sorted(unused, key=lambda v: (-crit[v], v))
         best = ranked[0]
         if not root:
@@ -327,17 +332,19 @@ def explanation_tree(network, joint_table, evidence, mi_threshold, branch_floor,
     The node at a branch installs the unused target of highest criterion:
     the largest I(v ; u | branch, e) over the other unused targets u, or,
     for the last one, I(v ; E | branch) with the evidence variables E taken
-    as one. Ties go to the higher entropy of P(v | branch, e), then to the
-    smaller name. The root is always installed; a deeper branch is a leaf
-    when P(branch | e) <= branch_floor or its criterion is below
-    mi_threshold. Labels are P(branch | e).
+    as one. An information below ZERO_FLOW is 0. Ties go to the higher
+    entropy of P(v | branch, e), then to the smaller name. The root is
+    always installed; a deeper branch is a leaf when P(branch | e) <=
+    branch_floor or its criterion is below mi_threshold. Labels are
+    P(branch | e).
 
     Both members of a pair share its information, so the top two criteria
     are often one number; the engine computes each pair once, so such a tie
-    is exact there too and goes to entropy. Raises RoundOffTie when a choice
-    that shapes the tree compares two values that close(a, b) calls equal
-    and that the engine need not hold as one float: the best criterion and
-    another that is not its pair's, two entropies of a shared pair, or the
+    is exact there too and goes to entropy, as does a tie at 0. Raises
+    RoundOffTie when a choice that shapes the tree compares two values that
+    close(a, b) calls equal and that the engine need not hold as one float:
+    the best criterion and another that is not its pair's or 0, two
+    entropies of a tie that is exact, an information and ZERO_FLOW, or the
     mass or criterion of a deeper branch and a positive floor or threshold.
     """
     targets = [t for t in network.targets if t not in evidence]
@@ -352,8 +359,10 @@ def explanation_tree(network, joint_table, evidence, mi_threshold, branch_floor,
         context = {**branch, **evidence}
         if len(unused) == 1:
             v = unused[0]
-            return v, _evidence_information(network, joint_table, v, evidence_vars, branch), None
-        pair = {frozenset(p): mutual_information(network, joint_table, *p, context)
+            return v, _floored(_evidence_information(network, joint_table, v, evidence_vars,
+                                                     branch), close, f"criterion of {v}"), None
+        pair = {frozenset(p): _floored(mutual_information(network, joint_table, *p, context),
+                                       close, f"information of {p} at {branch}")
                 for p in itertools.combinations(unused, 2)}
         crit, top = {}, {}
         for v in unused:
@@ -366,11 +375,11 @@ def explanation_tree(network, joint_table, evidence, mi_threshold, branch_floor,
         for v in unused:
             if v == best:
                 continue
-            shared = top[best] == top[v] == frozenset((best, v))
-            if shared and close(ent[best], ent[v]):
+            exact = crit[best] == crit[v] == 0.0 or top[best] == top[v] == frozenset((best, v))
+            if exact and close(ent[best], ent[v]):
                 return best, crit[best], (f"entropies within round-off: {best} and {v} "
                                           f"at {branch}, {ent[best]!r} and {ent[v]!r}")
-            if not shared and close(crit[best], crit[v]):
+            if not exact and close(crit[best], crit[v]):
                 return best, crit[best], (f"criteria within round-off: {best} and {v} "
                                           f"at {branch}, {crit[best]!r} and {crit[v]!r}")
         return best, crit[best], None
@@ -408,18 +417,25 @@ def _larger_first(close, a, b):
     return 0 if close(a, b) else (-1 if a > b else 1)
 
 
+# K-SIMP compares a likelihood with its bound at 10 significant digits
+# (`baselines._KEY_DECIMALS`); values this close are equal in exact arithmetic
+# and apart by round-off only, which those digits do not see.
+SAME_TOL = 1e-13
+
+
 def k_simp(network, joint_table, evidence, k, simplify_factor, close):
     """K-SIMP by enumeration: [(bindings sorted by name, P(e | bindings))].
 
     The k MAP configurations of the unobserved targets (by P(x, e), ties by
     higher P(x), then enumeration order) with P(x, e) > 0 are each shrunk
     greedily. A variable may go while P(e | rest) >= (1 - simplify_factor)
-    P(e | x) for the original x; each step deletes the one leaving the
-    highest likelihood, ties the latest declared. Duplicate results keep
-    their first occurrence; rows rank by likelihood, then by fewer
-    variables. Values that close(a, b) calls equal tie. Raises RoundOffTie
-    when a deletion's likelihood is close to the bound, since round-off then
-    decides whether the variable may go.
+    P(e | x) for the original x, a likelihood within SAME_TOL of the bound
+    counting as equal to it; each step deletes the one leaving the highest
+    likelihood, ties the latest declared. Duplicate results keep their first
+    occurrence; rows rank by likelihood, then by fewer variables. Values
+    that close(a, b) calls equal tie. Raises RoundOffTie when a deletion's
+    likelihood is close to the bound but not within SAME_TOL of it, since
+    the engine's rounding then decides whether the variable may go.
     """
     targets = [t for t in network.targets if t not in evidence]
     declared = network.names()
@@ -443,11 +459,12 @@ def k_simp(network, joint_table, evidence, k, simplify_factor, close):
         bound = (1.0 - simplify_factor) * like
         while len(cur) > 1:
             trials = {v: likelihood({u: s for u, s in cur.items() if u != v}) for v in cur}
+            same = {v: math.isclose(lt, bound, rel_tol=SAME_TOL) for v, lt in trials.items()}
             for v, lt in trials.items():
-                if close(lt, bound):
+                if close(lt, bound) and not same[v]:
                     raise RoundOffTie(f"likelihood at the bound: deleting {v} from {cur} "
                                       f"leaves {lt!r}, the bound is {bound!r}")
-            allowed = [v for v in cur if trials[v] >= bound]
+            allowed = [v for v in cur if trials[v] >= bound or same[v]]
             if not allowed:
                 break
             top = max(trials[v] for v in allowed)
