@@ -1,12 +1,15 @@
 """Exact probabilistic queries: marginal, conditional, likelihood, and graph
 surgery for interventions.
 
-Production inference is variable elimination with a min-fill ordering; the
-brute-force joint is kept as a testing oracle. A VE run reads only the CPTs
-of the queried and conditioned variables and their ancestors; the network
-keeps that list and the elimination order per query shape, so asking it a
-shape again with other states plans nothing, a new `Network` plans anew,
-and the plans grow with the number of distinct shapes asked. One
+Production inference is variable elimination with a min-fill ordering,
+which recounts every fill count at each step; the brute-force joint is kept
+as a testing oracle. A VE run reads only the CPTs of the queried and
+conditioned variables and their ancestors. That list and the elimination
+order are structure only: `_plan` computes them from the parents of each
+variable, before any array exists, once per query shape, and the network
+keeps them. So asking a shape again with other states plans nothing, a new
+`Network` plans anew, and the plans grow with the number of distinct shapes
+asked. One
 `ExplanationTables` holds every table of an explanation query: MRE, K-MRE,
 K-MAP, K-SIMP and ET build it by two runs, P(T) and P(T, e) over the
 unobserved targets (`explanation_tables`), and CET by one run of P(T, E)
@@ -77,56 +80,49 @@ def _minfill_order(scopes: list[tuple[str, ...]], keep: set[str]) -> list[str]:
 
     Each step eliminates the variable outside `keep` whose neighbours lack
     the fewest edges among themselves (ties: smallest name), then joins those
-    neighbours. Fill counts are kept up to date rather than recounted
-    (Kjaerulff 1990): eliminating v changes only the counts of the common
-    neighbours of each fill-in edge, which lose that unjoined pair, and of
-    v's neighbours, which also lose their unjoined pairs with v and gain
-    those with their new neighbours.
+    neighbours. Every count is recounted at every step: a network orders each
+    query shape once (`_plan`), so keeping them up to date would not pay.
     """
     adj: dict[str, set[str]] = {}
     for sc in scopes:
         for v in sc:
             adj.setdefault(v, set()).update(u for u in sc if u != v)
     todo = set(adj) - keep
-    count = {}
-    for v in todo:
-        ns = adj[v]
-        count[v] = (len(ns) * (len(ns) - 1) - sum(len(adj[u] & ns) for u in ns)) // 2
     order = []
     while todo:
-        v = min(todo, key=lambda u: (count[u], u))
+        # twice u's fill count: each neighbour w of u lacks w itself and the
+        # neighbours of u it is not joined to, so summing over w counts every
+        # unjoined pair twice and every w once
+        v = min(todo, key=lambda u: (sum(len(adj[u] - adj[w]) for w in adj[u]) - len(adj[u]), u))
         todo.remove(v)
         order.append(v)
         ns = adj.pop(v)
         for u in ns:
-            adj[u].discard(v)
-        fills = [(a, b) for a in ns for b in ns if a < b and b not in adj[a]]
-        for a, b in fills:
-            for x in adj[a] & adj[b]:
-                if x in todo:
-                    count[x] -= 1
-        for u in ns:
-            if u in todo:
-                # u's unjoined pairs with v go; each new neighbour w brings one
-                # with every neighbour of u outside ns that w is not joined to.
-                outside = adj[u] - ns
-                count[u] += sum(len(outside - adj[w]) for w in ns - adj[u] if w != u) - len(outside)
-        for a, b in fills:
-            adj[a].add(b)
-            adj[b].add(a)
+            adj[u] |= ns
+            adj[u] -= {u, v}
     return order
 
 
-def _relevant(network: Network, names: Iterable[str]) -> set[str]:
-    """`names` and all their ancestors."""
-    seen = set(names)
+def _plan(network: Network, variables: tuple[str, ...],
+          conditioned: frozenset[str]) -> tuple[list[str], list[str]]:
+    """The CPTs a query of this shape reads, in declared order, and their
+    min-fill elimination order, from the graph alone.
+
+    The CPTs are those of `variables`, the conditioned names and all their
+    ancestors. Each one's scope is its parents and child without the
+    conditioned names, as after restriction.
+    """
+    seen = {*variables, *conditioned}
     todo = list(seen)
     while todo:
         for p in network.parents(todo.pop()):
             if p not in seen:
                 seen.add(p)
                 todo.append(p)
-    return seen
+    names = [name for name in network.names() if name in seen]
+    scopes = [tuple(v for v in (*network.parents(name), name) if v not in conditioned)
+              for name in names]
+    return names, _minfill_order(scopes, set(variables))
 
 
 def query(network: Network, variables: tuple[str, ...] = (), condition: Assignment | None = None) -> Factor:
@@ -151,10 +147,10 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
         raise ValueError(f"a variable is queried twice in {tuple(variables)}")
 
     shape = (tuple(variables), frozenset(condition))
-    names, order = network._plans.get(shape, (None, None))
-    if names is None:
-        relevant = _relevant(network, (*variables, *condition))
-        names = [name for name in network.names() if name in relevant]
+    plan = network._plans.get(shape)
+    if plan is None:
+        plan = network._plans[shape] = _plan(network, *shape)
+    names, order = plan
     factors = []
     for name in names:
         f = cpt_factor(network, name)
@@ -162,9 +158,6 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
             if var in f.scope:
                 f = restrict(f, var, network.states(var).index(state))
         factors.append(f)
-    if order is None:
-        order = _minfill_order([f.scope for f in factors], set(variables))
-        network._plans[shape] = (names, order)
 
     for v in order:
         bucket = [f for f in factors if v in f.scope]

@@ -135,7 +135,9 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
 
     Runs of interchangeable rows (same variable set, same score) collapse to
     their first representative. The best row is always reported; further rows
-    must score above the floor. gbf_floor=-inf disables the floor.
+    must score above the floor by more than round-off (`_at_least`), so a GBF
+    of exactly 1 that reads 1.0000000000000002 does not pass the default
+    floor. gbf_floor=-inf disables the floor.
     """
     search._check_k(k)
     if not isinstance(gbf_floor, numbers.Real) or math.isnan(gbf_floor):
@@ -154,7 +156,7 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
 
     rows: list[ScoredExplanation] = []
     for i, r in enumerate(collapsed):
-        if i > 0 and r.value <= gbf_floor:
+        if i > 0 and _at_least(gbf_floor, r.value):
             break
         rows.append(r)
         if len(rows) == k:

@@ -5,8 +5,9 @@ elimination, just explicit enumeration of full configurations. Each CPT kind
 is evaluated directly from its own parameters rather than through expand_cpt.
 ``minimal_set`` is the plain O(n * alive) scan that ``kmre.minimal_set``
 replaced, kept as the reference for its sub-assignment lookup.
-``minfill_order`` recomputes every fill count at every step; it is the
-reference for ``infer._minfill_order``, which keeps the counts up to date.
+``minfill_order`` recounts every fill count at every step pair by pair; it
+is the reference for ``infer._minfill_order``, which recounts too but by set
+differences, once per query shape (``infer._plan``).
 ``do_joint``, ``causal_flow`` and ``causal_explanation_tree`` take every
 intervention by truncated factorisation, never through ``infer.mutilate``.
 ``explanation_tree`` and ``k_simp`` follow the documented rules of

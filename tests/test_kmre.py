@@ -6,6 +6,7 @@ import pytest
 
 from bnexplain.kmre import REL_TOL, DominanceVerdict, dominates, k_mre, minimal_set
 from bnexplain.search import ScoredExplanation, score_all
+from test_causal_oracle import _draw
 
 
 def _row(bindings, value, order=0):
@@ -149,6 +150,22 @@ def test_floor_is_exclusive_beyond_the_top_row(nets):
     # top row is reported even when it cannot clear the floor
     res = k_mre(nets["circuit2"], {"E": "low"}, gbf_floor=math.inf)
     assert len(res.rows) == 1
+
+
+@pytest.mark.parametrize("draw, dropped", [
+    ((5, True, False), {"V3": "s0"}),   # was the 5th row
+    ((6, False, False), {"V2": "s2"}),  # was the 2nd row
+])
+def test_a_gbf_of_one_does_not_pass_the_floor_by_round_off(draw, dropped):
+    # the dropped row's GBF is exactly 1 and reads 1.0000000000000002
+    net, evidence = _draw(*draw)
+    res = k_mre(net, evidence, k=5)
+    row = next(r for r in res.scored if dict(r.bindings) == dropped)
+    assert row.value > 1.0 and math.isclose(row.value, 1.0, rel_tol=REL_TOL)
+    assert dropped not in [dict(r.bindings) for r in res.rows]
+    assert all(r.value > 1.0 + REL_TOL for r in res.rows[1:])
+    # a floor just under 1 lets it through again
+    assert dropped in [dict(r.bindings) for r in k_mre(net, evidence, k=5, gbf_floor=0.999).rows]
 
 
 def test_k_truncation(nets):

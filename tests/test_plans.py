@@ -2,7 +2,8 @@
 
 `infer.query` stores, per (queried variables, set of conditioned names), the
 CPTs it reads and its min-fill elimination order, and reuses them when the
-same shape comes again with other states. A reused plan must give the very
+same shape comes again with other states. `infer._plan` computes both from
+the graph alone, before any CPT is lowered. A reused plan must give the very
 bits a fresh network gives, and must never leak into another network.
 """
 import itertools
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import oracle
 from test_properties import _rel_eq, random_net
-from bnexplain import bench, infer
-from bnexplain.baselines import k_map, k_simp
+from bnexplain import bench, infer, model
+from bnexplain.baselines import causal_explanation_tree, explanation_tree, k_map, k_simp
 from bnexplain.infer import ImpossibleEvidenceError, mutilate, query
 from bnexplain.kmre import k_mre
 from bnexplain.model import parse_network, serialize_network
@@ -63,6 +64,35 @@ def test_a_new_network_plans_again(monkeypatch, scenarios):
     for _ in range(2):
         k_map(bench.fixture(fid), evidence)
     assert len(calls) == 4
+
+
+def test_a_plan_needs_no_arrays(monkeypatch, scenarios):
+    # every shape the 9 scenarios ask, on the fixture and on CET's cut networks
+    asked = []
+    real = infer._plan
+
+    def recorded(network, variables, conditioned):
+        asked.append((network, (variables, conditioned)))
+        return real(network, variables, conditioned)
+
+    monkeypatch.setattr(infer, "_plan", recorded)
+    for _, fid, evidence in scenarios:
+        net = bench.fixture(fid)
+        for method in (mre, k_mre, k_map, k_simp, explanation_tree, causal_explanation_tree):
+            method(net, evidence)
+
+    def no_arrays(*args):
+        raise AssertionError("a plan lowered a CPT")
+
+    for module, name in ((model, "expand_cpt"), (infer, "expand_cpt"), (infer, "cpt_factor")):
+        monkeypatch.setattr(module, name, no_arrays)
+    emptied = 0
+    for network, shape in asked:
+        assert real(network, *shape) == network._plans[shape], shape
+        names, _ = network._plans[shape]
+        emptied += any({*network.parents(n), n} <= shape[1] for n in names)
+    # circuit's P(T, e) conditions on the root Input, whose CPT keeps no scope
+    assert len(asked) > 9 * 2 and emptied
 
 
 def _fresh(net):
