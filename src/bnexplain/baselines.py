@@ -306,9 +306,8 @@ def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
         raise ValueError(f"{var!r} is bound by the branch or among the evidence variables")
     joint = query(network, (var, *branch), evidence)
     evidence_vars = tuple(evidence_vars)
-    return _flow(network, joint, lambda v: query(
-        infer.mutilate(network, (v,)) if network.parents(v) else network,
-        joint.scope + evidence_vars), evidence_vars, var, branch)
+    return _flow(network, joint, lambda v: query(network, joint.scope + evidence_vars, _cut=(v,)),
+                 evidence_vars, var, branch)
 
 
 def causal_explanation_tree(network: Network, evidence: Assignment,
@@ -324,7 +323,7 @@ def causal_explanation_tree(network: Network, evidence: Assignment,
     variables E (`infer.evidence_joint_tables`). P(T) is its sum over E,
     P(T, e) its slice at e, and every root target reads its outcome
     distributions from it (`ExplanationTables.outcome`). Each target with
-    parents adds one run on the network with its arcs cut:
+    parents adds one run that cuts its arcs, a shape the network plans once:
     1 + |targets with parents| runs in all. Flows below ZERO_FLOW are 0, so
     targets without a causal path to the evidence tie and go by name.
     """

@@ -23,7 +23,7 @@ from .baselines import (
     tree_doc,
 )
 from .infer import ImpossibleEvidenceError
-from .kmre import k_mre
+from .kmre import _check_gbf_floor, k_mre
 from .model import Network, load_network, serialize_network, validate
 from .relevance import curve_csv, gbf_curve, parse_grid
 from .search import ScoredExplanation, mre
@@ -110,6 +110,7 @@ def _rows_text(rows: list[ScoredExplanation]) -> str:
 
 
 def _cmd_explain(args) -> int:
+    _check_gbf_floor(args.gbf_floor)  # for every method, as BaselineParams does
     net = _load(args)
     ev = _parse_evidence(net, args.evidence)
     params = BaselineParams(

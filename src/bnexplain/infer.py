@@ -1,5 +1,5 @@
-"""Exact probabilistic queries: marginal, conditional, likelihood, and graph
-surgery for interventions.
+"""Exact probabilistic queries: marginal, conditional, likelihood, and
+interventions.
 
 Production inference is variable elimination with a min-fill ordering,
 which recounts every fill count at each step; the brute-force joint is kept
@@ -7,18 +7,18 @@ as a testing oracle. A VE run reads only the CPTs of the queried and
 conditioned variables and their ancestors. That list and the elimination
 order are structure only: `_plan` computes them from the parents of each
 variable, before any array exists, once per query shape, and the network
-keeps them. So asking a shape again with other states plans nothing, a new
-`Network` plans anew, and the plans grow with the number of distinct shapes
-asked. One
-`ExplanationTables` holds every table of an explanation query: MRE, K-MRE,
-K-MAP, K-SIMP and ET build it by two runs, P(T) and P(T, e) over the
+keeps them. A shape includes the variables whose arcs an intervention cuts.
+So asking a shape again with other states plans nothing, a new `Network`
+plans anew, and the plans grow with the number of distinct shapes asked.
+One `ExplanationTables` holds every table of an explanation query: MRE,
+K-MRE, K-MAP, K-SIMP and ET build it by two runs, P(T) and P(T, e) over the
 unobserved targets (`explanation_tables`), and CET by one run of P(T, E)
 over the evidence variables too (`evidence_joint_tables`). Nats throughout.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -103,29 +103,31 @@ def _minfill_order(scopes: list[tuple[str, ...]], keep: set[str]) -> list[str]:
     return order
 
 
-def _plan(network: Network, variables: tuple[str, ...],
-          conditioned: frozenset[str]) -> tuple[list[str], list[str]]:
+def _plan(network: Network, variables: tuple[str, ...], conditioned: frozenset[str],
+          cut: frozenset[str]) -> tuple[list[str], list[str]]:
     """The CPTs a query of this shape reads, in declared order, and their
     min-fill elimination order, from the graph alone.
 
-    The CPTs are those of `variables`, the conditioned names and all their
-    ancestors. Each one's scope is its parents and child without the
-    conditioned names, as after restriction.
+    The CPTs are those of `variables`, the conditioned names and their
+    ancestors, where a `cut` name has no parents. Each one's scope is its
+    parents and child without the conditioned names, as after restriction.
     """
+    parents = {name: () if name in cut else network.parents(name) for name in network.names()}
     seen = {*variables, *conditioned}
     todo = list(seen)
     while todo:
-        for p in network.parents(todo.pop()):
+        for p in parents[todo.pop()]:
             if p not in seen:
                 seen.add(p)
                 todo.append(p)
     names = [name for name in network.names() if name in seen]
-    scopes = [tuple(v for v in (*network.parents(name), name) if v not in conditioned)
+    scopes = [tuple(v for v in (*parents[name], name) if v not in conditioned)
               for name in names]
     return names, _minfill_order(scopes, set(variables))
 
 
-def query(network: Network, variables: tuple[str, ...] = (), condition: Assignment | None = None) -> Factor:
+def query(network: Network, variables: tuple[str, ...] = (), condition: Assignment | None = None,
+          *, _cut: Collection[str] = ()) -> Factor:
     """Unnormalized factor: values[config] = P(variables=config, condition).
 
     With empty `variables` the result is a scalar factor holding P(condition).
@@ -133,9 +135,10 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
     ancestors are lowered and eliminated. Every other variable is barren: it
     sums out to 1 (Shachter 1986). So the prior over root variables is the
     product of their CPTs, and a query with nothing to read is exactly 1.0.
-    Both the CPTs read and the elimination order depend only on the shape,
-    `variables` and the set of conditioned names; the network keeps them on
-    first use, so a later query of that shape works exactly as the first.
+    A `_cut` variable's arcs are cut: no parents and a uniform prior.
+    The CPTs read and the elimination order depend only on the shape:
+    `variables`, the conditioned and the cut names. The network keeps them
+    on first use, so a later query of that shape works exactly as the first.
     """
     condition = dict(condition or {})
     check_assignment(network, condition)
@@ -146,14 +149,15 @@ def query(network: Network, variables: tuple[str, ...] = (), condition: Assignme
     if len(set(variables)) != len(variables):
         raise ValueError(f"a variable is queried twice in {tuple(variables)}")
 
-    shape = (tuple(variables), frozenset(condition))
+    shape = (tuple(variables), frozenset(condition), frozenset(_cut))
     plan = network._plans.get(shape)
     if plan is None:
         plan = network._plans[shape] = _plan(network, *shape)
     names, order = plan
     factors = []
     for name in names:
-        f = cpt_factor(network, name)
+        f = (Factor((name,), np.full(network.card(name), 1.0 / network.card(name)))
+             if name in _cut else cpt_factor(network, name))
         for var, state in condition.items():
             if var in f.scope:
                 f = restrict(f, var, network.states(var).index(state))
@@ -228,22 +232,21 @@ class ExplanationTables:
         self.joint = joint
         self.pe = pe
         self.targets = joint.scope
-        self._runs = {} if evidence_joint is None else {None: evidence_joint}
+        self._runs = {} if evidence_joint is None else {(): evidence_joint}
 
     def evidence_joint(self) -> Factor:
         """P(T, E), not conditioned on e."""
-        return self._run(None)
+        return self._run(())
 
     def outcome(self, var: str) -> Factor:
         """P(T, E) with var's incoming arcs cut: sliced at var = s and
         normalised, the outcome distribution of do(var = s). A root target
         reads `evidence_joint()`, as the normalisation cancels its prior."""
-        return self._run(var if self.network.parents(var) else None)
+        return self._run((var,) if self.network.parents(var) else ())
 
-    def _run(self, cut: str | None) -> Factor:
+    def _run(self, cut: tuple[str, ...]) -> Factor:
         if cut not in self._runs:
-            net = self.network if cut is None else mutilate(self.network, (cut,))
-            self._runs[cut] = query(net, self.targets + self.evidence_vars)
+            self._runs[cut] = query(self.network, self.targets + self.evidence_vars, _cut=cut)
         return self._runs[cut]
 
 
@@ -340,7 +343,7 @@ def mutilate(network: Network, variables: Iterable[str]) -> Network:
     The result is a valid network in which conditioning on v = s is the
     intervention do(v = s) (truncated factorization): P'(y | v = s) =
     P(y | do(v = s)). A do-query is prob(mutilate(net, do), event,
-    {**evidence, **do}).
+    {**evidence, **do}); `query`'s `_cut` cuts the same arcs inside a run.
     """
     if isinstance(variables, str):
         raise ValueError(f"mutilate takes a collection of names, got the string {variables!r}")

@@ -129,6 +129,12 @@ class KmreResult:
     scored: list[ScoredExplanation]  # the full exhaustive sweep
 
 
+def _check_gbf_floor(gbf_floor) -> None:
+    """Refuse a floor that is not a real number, or is NaN."""
+    if not isinstance(gbf_floor, numbers.Real) or math.isnan(gbf_floor):
+        raise ValueError(f"gbf_floor must be a number, got {gbf_floor!r}")
+
+
 def k_mre(network: Network, evidence: Assignment, k: int = 3,
           gbf_floor: float = 1.0) -> KmreResult:
     """Top-k minimal explanations by GBF.
@@ -140,8 +146,7 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
     floor. gbf_floor=-inf disables the floor.
     """
     search._check_k(k)
-    if not isinstance(gbf_floor, numbers.Real) or math.isnan(gbf_floor):
-        raise ValueError(f"gbf_floor must be a number, got {gbf_floor!r}")
+    _check_gbf_floor(gbf_floor)
     scored = search.score_all(network, evidence)
     kept, witnesses = minimal_set(scored)
 

@@ -84,8 +84,9 @@ Cpt = Union[TableCpt, NoisyOrCpt, DeterministicCpt]
 @dataclass(frozen=True)
 class Network:
     """Variables and one CPT each. `infer.query` keeps one plan per query
-    shape in `_plans`, filled on first use, so a new network plans afresh
-    and the plans grow with the shapes asked; ==, hash and repr ignore it."""
+    shape (queried, conditioned and cut names) in `_plans`, filled on first
+    use, so a new network plans afresh and the plans grow with the shapes
+    asked; ==, hash and repr ignore it."""
 
     variables: tuple[Variable, ...]
     cpts: tuple[Cpt, ...]
@@ -359,6 +360,7 @@ def parse_network(text: str) -> Network:
     variables = []
     for i, rv in enumerate(raw_vars):
         where = f"variables[{i}]"
+        _object(rv, where)
         try:
             variables.append(Variable(
                 name=_string(rv["name"], f"{where}.name"),
@@ -370,6 +372,7 @@ def parse_network(text: str) -> Network:
     cpts = []
     for i, rc in enumerate(_array(doc.get("cpts", []), "cpts")):
         where = f"cpts[{i}]"
+        _object(rc, where)
         try:
             cpts.append(_parse_cpt(rc, where))
         except (KeyError, TypeError, OverflowError) as e:
@@ -385,6 +388,18 @@ def _array(value, where: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{where} must be an array")
     return value
+
+
+def _object(value, where: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+
+
+def _number(value, where: str) -> float:
+    # json.loads gives exact types, and a bool is not a probability
+    if type(value) not in (int, float):
+        raise ValueError(f"{where} must be a number")
+    return float(value)
 
 
 def _string(value, where: str) -> str:
@@ -405,28 +420,44 @@ def _parse_cpt(rc, where: str) -> Cpt:
     kind = rc["kind"]
     if kind == "table":
         rows = _array(rc["rows"], f"{where}.rows")
+        if not all(type(x) in (int, float) for x in rows):
+            raise ValueError(f"{where}.rows must be an array of numbers")
         return TableCpt(child=child, parents=parents, rows=tuple(float(x) for x in rows))
     if kind == "noisy_or":
-        triggers = tuple(
-            NoisyOrTrigger(_string(t["parent"], f"{where}.triggers"),
-                           _string(t["activating_state"], f"{where}.triggers"),
-                           float(t["p"]))
-            for t in _array(rc["triggers"], f"{where}.triggers")
-        )
+        triggers = tuple(_parse_trigger(t, where, j)
+                         for j, t in enumerate(_array(rc["triggers"], f"{where}.triggers")))
         return NoisyOrCpt(child=child, parents=parents,
                           effect_state=_string(rc["effect_state"], f"{where}.effect_state"),
-                          triggers=triggers, leak=float(rc.get("leak", 0.0)))
+                          triggers=triggers, leak=_number(rc.get("leak", 0.0), f"{where}.leak"))
     if kind == "deterministic":
         exceptions = tuple(
-            (tuple(_string(ex["when"][p], f"{where}.exceptions") for p in parents),
-             _string(ex["then"], f"{where}.exceptions"))
-            for ex in _array(rc.get("exceptions", []), f"{where}.exceptions")
-        )
+            _parse_exception(ex, parents, f"{where}.exceptions[{j}]")
+            for j, ex in enumerate(_array(rc.get("exceptions", []), f"{where}.exceptions")))
         return DeterministicCpt(child=child, parents=parents,
                                 default_state=_string(rc["default_state"],
                                                       f"{where}.default_state"),
                                 exceptions=exceptions)
     raise ValueError(f"{where}: unknown CPT kind {kind!r}")
+
+
+def _parse_trigger(t, where: str, j: int) -> NoisyOrTrigger:
+    """Trigger j of the CPT at `where`. A network can have many triggers, so
+    a well-typed one is taken at once, and only a bad one is named."""
+    if (type(t) is dict and type(t.get("parent")) is str
+            and type(t.get("activating_state")) is str and type(t.get("p")) in (int, float)):
+        return NoisyOrTrigger(t["parent"], t["activating_state"], float(t["p"]))
+    where = f"{where}.triggers[{j}]"
+    _object(t, where)
+    return NoisyOrTrigger(_string(t["parent"], f"{where}.parent"),
+                          _string(t["activating_state"], f"{where}.activating_state"),
+                          _number(t["p"], f"{where}.p"))
+
+
+def _parse_exception(ex, parents: tuple[str, ...], where: str) -> tuple[tuple[str, ...], str]:
+    _object(ex, where)
+    _object(ex["when"], f"{where}.when")
+    return (tuple(_string(ex["when"][p], f"{where}.when.{p}") for p in parents),
+            _string(ex["then"], f"{where}.then"))
 
 
 def load_network(path) -> Network:

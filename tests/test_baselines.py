@@ -334,13 +334,14 @@ def test_cet_flow_threshold_prunes(nets):
 
 
 def _count_queries(monkeypatch) -> list:
-    """Record the variables of every VE run made through infer.query."""
+    """Record the variables and the sorted cut names of every VE run made
+    through infer.query."""
     calls = []
     real = infer.query
 
-    def counted(network, variables=(), condition=None):
-        calls.append(variables)
-        return real(network, variables, condition)
+    def counted(network, variables=(), condition=None, *, _cut=()):
+        calls.append((variables, tuple(sorted(_cut))))
+        return real(network, variables, condition, _cut=_cut)
 
     monkeypatch.setattr(infer, "query", counted)
     monkeypatch.setattr(baselines, "query", counted)
@@ -359,20 +360,20 @@ def _reaches_last_level(node, n, floor, depth=0) -> bool:
     return any(_reaches_last_level(b.child, n, floor, depth + 1) for b in node.branches)
 
 
+def _no_mutilate(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a method copied the network to cut its arcs")
+
+    monkeypatch.setattr(infer, "mutilate", refused)
+
+
 def test_trees_make_a_fixed_number_of_ve_runs(monkeypatch, nets, scenarios):
     # CET: one P(T, E), which every root target shares, plus one outcome table
-    # per unobserved target with parents, on a network cut for that target
-    # alone. ET: P(T) and P(T, e), plus P(T, E) once some node reaches the
-    # last level.
+    # per unobserved target with parents, by a VE run that cuts that target's
+    # arcs alone; no network is copied. ET: P(T) and P(T, e), plus P(T, E)
+    # once some node reaches the last level.
     calls = _count_queries(monkeypatch)
-    cut = []
-    real_mutilate = infer.mutilate
-
-    def counted_mutilate(network, variables):
-        cut.append(tuple(variables))
-        return real_mutilate(network, variables)
-
-    monkeypatch.setattr(infer, "mutilate", counted_mutilate)
+    _no_mutilate(monkeypatch)
     et_runs = set()
     cet_runs = set()
     for params in (BaselineParams(), BaselineParams(mi_threshold=0.0, flow_threshold=0.0)):
@@ -381,15 +382,16 @@ def test_trees_make_a_fixed_number_of_ve_runs(monkeypatch, nets, scenarios):
             n = sum(t not in evidence for t in net.targets)
             children = sorted(t for t in net.targets if t not in evidence and net.parents(t))
             calls.clear()
-            cut.clear()
             causal_explanation_tree(net, evidence, params)
             assert len(calls) == 1 + len(children), (sid, params)
-            assert sorted(cut) == [(t,) for t in children], (sid, params)
+            assert sorted(cut for _, cut in calls if cut) == [(t,) for t in children], \
+                (sid, params)
             cet_runs.add(len(calls))
             calls.clear()
             tree = explanation_tree(net, evidence, params)
             assert len(calls) == 2 + _reaches_last_level(tree, n, params.branch_floor), \
                 (sid, params)
+            assert not any(cut for _, cut in calls), (sid, params)
             et_runs.add(len(calls))
     assert et_runs == {2, 3}
     assert cet_runs == {1, 2, 4}
@@ -399,10 +401,12 @@ def test_trees_make_a_fixed_number_of_ve_runs(monkeypatch, nets, scenarios):
 def test_ranked_methods_make_two_ve_runs(monkeypatch, nets, scenarios, method):
     # P(T) and P(T, e) feed every number a ranked method reports.
     calls = _count_queries(monkeypatch)
+    _no_mutilate(monkeypatch)
     for sid, fid, evidence in scenarios:
         calls.clear()
         method(nets[fid], evidence)
         assert len(calls) == 2, sid
+        assert not any(cut for _, cut in calls), sid
 
 
 def test_the_holder_builds_each_table_once(monkeypatch, nets):

@@ -181,6 +181,8 @@ def test_explain_rejects_bad_thresholds(capsys):
     asia = ("explain", "--fixture", "asia", "--evidence", "Dyspnea=yes")
     for extra, message in (
             (("--method", "kmre", "--k", "10", "--gbf-floor", "nan"), "gbf_floor"),
+            (("--method", "kmap", "--gbf-floor", "nan"), "gbf_floor"),
+            (("--method", "etree", "--gbf-floor", "nan"), "gbf_floor"),
             (("--method", "ksimp", "--threshold-simplify", "2"), "simplify_factor"),
             (("--method", "ksimp", "--threshold-simplify", "nan"), "simplify_factor"),
             (("--method", "etree", "--threshold-branch", "-0.5"), "branch_floor"),

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +292,16 @@ def test_parse_rejects_bad_documents():
         parse_network(json.dumps(doc))
 
 
+def _on(fid, i, edit):
+    """A mutation that swaps in another fixture's document and edits its
+    CPT i, of a kind vacation1 lacks: circuit's noisy-OR TotalOutput (9) or
+    asia's deterministic TbOrCa (5)."""
+    def mutate(doc):
+        doc.update(json.loads(serialize_network(bench.fixture(fid))))
+        edit(doc["cpts"][i])
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: d.update(variables=5), "variables must be an array"),
     (lambda d: d.update(cpts=5), "cpts must be an array"),
@@ -299,12 +310,47 @@ def test_parse_rejects_bad_documents():
     (lambda d: d["variables"][0].update(name=[1]), r"name must be a string"),
     (lambda d: d["cpts"][0].update(child=[1]), r"child must be a string"),
     (lambda d: d["cpts"][1].update(parents="Healthy"), r"parents must be an array of strings"),
+    (lambda d: d["variables"].__setitem__(0, "Healthy"), "variables[0] must be an object"),
+    (lambda d: d["cpts"].__setitem__(2, ["Alive"]), "cpts[2] must be an object"),
+    (lambda d: d["cpts"][0].update(rows=["0.8", "0.2"]),
+     "cpts[0].rows must be an array of numbers"),
+    (lambda d: d["cpts"][0].update(rows=[True, False]),
+     "cpts[0].rows must be an array of numbers"),
+    (lambda d: d["cpts"][0].update(rows=[0.8, None]),
+     "cpts[0].rows must be an array of numbers"),
+    (_on("circuit", 9, lambda c: c["triggers"][1].update(p="0.9")),
+     "cpts[9].triggers[1].p must be a number"),
+    (_on("circuit", 9, lambda c: c["triggers"][0].update(p=True)),
+     "cpts[9].triggers[0].p must be a number"),
+    (_on("circuit", 9, lambda c: c.update(leak="0")),
+     "cpts[9].leak must be a number"),
+    (_on("circuit", 9, lambda c: c.update(leak=False)),
+     "cpts[9].leak must be a number"),
+    (_on("circuit", 9, lambda c: c["triggers"].__setitem__(2, "OutC")),
+     "cpts[9].triggers[2] must be an object"),
+    (_on("asia", 5, lambda c: c["exceptions"].__setitem__(0, "no")),
+     "cpts[5].exceptions[0] must be an object"),
+    (_on("asia", 5, lambda c: c["exceptions"][0].update(when=["no", "no"])),
+     "cpts[5].exceptions[0].when must be an object"),
 ])
 def test_parse_rejects_mistyped_fields(nets, mutate, message):
     doc = json.loads(serialize_network(nets["vacation1"]))
     mutate(doc)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_network(json.dumps(doc))
+
+
+def test_parse_accepts_json_integers(nets):
+    doc = json.loads(serialize_network(nets["circuit"]))
+    doc["cpts"][0]["rows"] = [1, 0]
+    doc["cpts"][9]["leak"] = 0
+    doc["cpts"][9]["triggers"][0]["p"] = 1
+    net = parse_network(json.dumps(doc))
+    assert net.cpt("Input").rows == (1.0, 0.0)
+    assert all(type(x) is float for x in net.cpt("Input").rows)
+    total = net.cpt("TotalOutput")
+    assert (total.leak, total.triggers[0].p) == (0.0, 1.0)
+    assert type(total.leak) is float and type(total.triggers[0].p) is float
 
 
 def test_parse_rejects_json_too_deep_and_numbers_too_large():

@@ -1,10 +1,11 @@
 """Query plans: a network keeps one plan per query shape.
 
-`infer.query` stores, per (queried variables, set of conditioned names), the
-CPTs it reads and its min-fill elimination order, and reuses them when the
-same shape comes again with other states. `infer._plan` computes both from
-the graph alone, before any CPT is lowered. A reused plan must give the very
-bits a fresh network gives, and must never leak into another network.
+`infer.query` stores, per (queried variables, set of conditioned names, set
+of cut names), the CPTs it reads and its min-fill elimination order, and
+reuses them when the same shape comes again with other states. `infer._plan`
+computes both from the graph alone, before any CPT is lowered. A reused plan
+must give the very bits a fresh network gives, and must never leak into
+another network. A cut run must give the bits of the mutilated network.
 """
 import itertools
 import pickle
@@ -66,14 +67,29 @@ def test_a_new_network_plans_again(monkeypatch, scenarios):
     assert len(calls) == 4
 
 
+def test_cet_plans_each_cut_once_per_network(monkeypatch):
+    # asia's three targets have parents: P(T, E) and one cut run per target
+    # are planned on the first call, and the later calls plan nothing
+    calls = _count_orderings(monkeypatch)
+    net = bench.fixture("asia")
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        causal_explanation_tree(net, {"Dyspnea": "yes"})
+        counts.append(len(calls))
+    assert counts == [4, 0, 0]
+    assert sorted(sorted(cut) for _, _, cut in net._plans) == [
+        [], ["Bronchitis"], ["LungCancer"], ["Tuberculosis"]]
+
+
 def test_a_plan_needs_no_arrays(monkeypatch, scenarios):
-    # every shape the 9 scenarios ask, on the fixture and on CET's cut networks
+    # every shape the 9 scenarios ask, CET's cut runs included
     asked = []
     real = infer._plan
 
-    def recorded(network, variables, conditioned):
-        asked.append((network, (variables, conditioned)))
-        return real(network, variables, conditioned)
+    def recorded(network, variables, conditioned, cut):
+        asked.append((network, (variables, conditioned, cut)))
+        return real(network, variables, conditioned, cut)
 
     monkeypatch.setattr(infer, "_plan", recorded)
     for _, fid, evidence in scenarios:
@@ -93,6 +109,26 @@ def test_a_plan_needs_no_arrays(monkeypatch, scenarios):
         emptied += any({*network.parents(n), n} <= shape[1] for n in names)
     # circuit's P(T, e) conditions on the root Input, whose CPT keeps no scope
     assert len(asked) > 9 * 2 and emptied
+    # CET cuts each target with parents alone: Location, and asia's three
+    cuts = {shape[2] for _, shape in asked}
+    assert cuts == {frozenset(c) for c in ((), ("Location",), ("Tuberculosis",),
+                                           ("LungCancer",), ("Bronchitis",))}
+
+
+def test_loading_a_network_does_no_engine_work(monkeypatch):
+    # set-up stays cheap: planning and lowering wait for the first query
+    def refused(*args):
+        raise AssertionError("loading a network did engine work")
+
+    for module, name in ((infer, "_plan"), (infer, "_minfill_order"), (model, "expand_cpt"),
+                         (infer, "expand_cpt"), (infer, "cpt_factor")):
+        monkeypatch.setattr(module, name, refused)
+    nets = [bench.fixture(fid) for fid in bench.FIXTURE_IDS]
+    nets += [random_net(random.Random(seed), roles=seed % 2 == 1) for seed in range(20)]
+    for net in nets:
+        back = parse_network(serialize_network(net))
+        assert back == net
+        assert not net._plans and not back._plans
 
 
 def _fresh(net):
@@ -138,6 +174,31 @@ def test_reused_plans_give_the_bits_of_a_fresh_network(seed, data):
         assert np.array_equal(got.values, want.values), (variables, condition)
         exact = _oracle_query(net, joint, variables, condition)
         assert all(_rel_eq(a, b) for a, b in zip(got.values.ravel(), exact))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_a_cut_run_gives_the_bits_of_the_mutilated_network(seed, data):
+    net = random_net(random.Random(seed))
+    names = net.names()
+    for variables, condition in data.draw(_query_calls(net)):
+        drawn = data.draw(st.sets(st.sampled_from(names)))
+        conditioned = list(condition)[:1]
+        # the last variable is no CPT's parent; a conditioned one is cut too
+        for cut in (drawn, {names[-1]}, set(conditioned)):
+            got = query(net, variables, condition, _cut=cut)
+            want = query(mutilate(net, cut), variables, condition)
+            assert got.scope == want.scope == variables
+            assert np.array_equal(got.values, want.values), (variables, condition, cut)
+            again = query(net, variables, condition, _cut=sorted(cut, reverse=True))
+            assert np.array_equal(again.values, got.values)
+            fresh = query(_fresh(net), variables, condition, _cut=cut)
+            assert np.array_equal(fresh.values, got.values)
+        for v in conditioned:
+            # normalised, the cut run is the distribution under do(v = s)
+            got = query(net, variables, condition, _cut=(v,)).values.ravel()
+            want = _oracle_query(net, oracle.do_joint(net, v, condition[v]), variables, condition)
+            assert all(_rel_eq(a, b) for a, b in zip(got / got.sum(), want / want.sum()))
 
 
 def _fill_plans(net):
