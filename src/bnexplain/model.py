@@ -395,9 +395,13 @@ def _object(value, where: str) -> None:
         raise ValueError(f"{where} must be an object")
 
 
-def _number(value, where: str) -> float:
+def _is_number(value) -> bool:
     # json.loads gives exact types, and a bool is not a probability
-    if type(value) not in (int, float):
+    return type(value) in (int, float)
+
+
+def _number(value, where: str) -> float:
+    if not _is_number(value):
         raise ValueError(f"{where} must be a number")
     return float(value)
 
@@ -420,7 +424,7 @@ def _parse_cpt(rc, where: str) -> Cpt:
     kind = rc["kind"]
     if kind == "table":
         rows = _array(rc["rows"], f"{where}.rows")
-        if not all(type(x) in (int, float) for x in rows):
+        if not all(_is_number(x) for x in rows):
             raise ValueError(f"{where}.rows must be an array of numbers")
         return TableCpt(child=child, parents=parents, rows=tuple(float(x) for x in rows))
     if kind == "noisy_or":
@@ -431,7 +435,7 @@ def _parse_cpt(rc, where: str) -> Cpt:
                           triggers=triggers, leak=_number(rc.get("leak", 0.0), f"{where}.leak"))
     if kind == "deterministic":
         exceptions = tuple(
-            _parse_exception(ex, parents, f"{where}.exceptions[{j}]")
+            _parse_exception(ex, parents, where, j)
             for j, ex in enumerate(_array(rc.get("exceptions", []), f"{where}.exceptions")))
         return DeterministicCpt(child=child, parents=parents,
                                 default_state=_string(rc["default_state"],
@@ -440,24 +444,36 @@ def _parse_cpt(rc, where: str) -> Cpt:
     raise ValueError(f"{where}: unknown CPT kind {kind!r}")
 
 
+# A CPT can hold many triggers or exceptions, so their checks format a
+# field's name only to refuse it.
+
 def _parse_trigger(t, where: str, j: int) -> NoisyOrTrigger:
-    """Trigger j of the CPT at `where`. A network can have many triggers, so
-    a well-typed one is taken at once, and only a bad one is named."""
-    if (type(t) is dict and type(t.get("parent")) is str
-            and type(t.get("activating_state")) is str and type(t.get("p")) in (int, float)):
-        return NoisyOrTrigger(t["parent"], t["activating_state"], float(t["p"]))
-    where = f"{where}.triggers[{j}]"
-    _object(t, where)
-    return NoisyOrTrigger(_string(t["parent"], f"{where}.parent"),
-                          _string(t["activating_state"], f"{where}.activating_state"),
-                          _number(t["p"], f"{where}.p"))
+    if not isinstance(t, dict):
+        raise ValueError(f"{where}.triggers[{j}] must be an object")
+    parent, state, p = t["parent"], t["activating_state"], t["p"]
+    if not isinstance(parent, str):
+        raise ValueError(f"{where}.triggers[{j}].parent must be a string")
+    if not isinstance(state, str):
+        raise ValueError(f"{where}.triggers[{j}].activating_state must be a string")
+    if not _is_number(p):
+        raise ValueError(f"{where}.triggers[{j}].p must be a number")
+    return NoisyOrTrigger(parent, state, float(p))
 
 
-def _parse_exception(ex, parents: tuple[str, ...], where: str) -> tuple[tuple[str, ...], str]:
-    _object(ex, where)
-    _object(ex["when"], f"{where}.when")
-    return (tuple(_string(ex["when"][p], f"{where}.when.{p}") for p in parents),
-            _string(ex["then"], f"{where}.then"))
+def _parse_exception(ex, parents: tuple[str, ...], where: str,
+                     j: int) -> tuple[tuple[str, ...], str]:
+    if not isinstance(ex, dict):
+        raise ValueError(f"{where}.exceptions[{j}] must be an object")
+    when, then = ex["when"], ex["then"]
+    if not isinstance(when, dict):
+        raise ValueError(f"{where}.exceptions[{j}].when must be an object")
+    states = tuple(when[p] for p in parents)
+    for p, state in zip(parents, states):
+        if not isinstance(state, str):
+            raise ValueError(f"{where}.exceptions[{j}].when.{p} must be a string")
+    if not isinstance(then, str):
+        raise ValueError(f"{where}.exceptions[{j}].then must be a string")
+    return states, then
 
 
 def load_network(path) -> Network:

@@ -332,6 +332,14 @@ def _on(fid, i, edit):
      "cpts[5].exceptions[0] must be an object"),
     (_on("asia", 5, lambda c: c["exceptions"][0].update(when=["no", "no"])),
      "cpts[5].exceptions[0].when must be an object"),
+    (_on("circuit", 9, lambda c: c["triggers"][0].update(parent=["OutA"])),
+     "cpts[9].triggers[0].parent must be a string"),
+    (_on("circuit", 9, lambda c: c["triggers"][0].update(activating_state=1)),
+     "cpts[9].triggers[0].activating_state must be a string"),
+    (_on("asia", 5, lambda c: c["exceptions"][0]["when"].update(LungCancer=False)),
+     "cpts[5].exceptions[0].when.LungCancer must be a string"),
+    (_on("asia", 5, lambda c: c["exceptions"][0].update(then=None)),
+     "cpts[5].exceptions[0].then must be a string"),
 ])
 def test_parse_rejects_mistyped_fields(nets, mutate, message):
     doc = json.loads(serialize_network(nets["vacation1"]))
