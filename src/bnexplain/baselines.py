@@ -300,10 +300,9 @@ def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
     (interventions are judged against the pre-observation world). The
     divergence is the symmetrized KL of each outcome distribution against
     the weighted mixture, restricted to each intervention's support. A flow
-    below ZERO_FLOW is returned as exactly 0. Every variable's arcs are cut
-    in its VE run, a root's too, so a root's flow can differ at round-off
-    from the one a CET tree reports, which reads a root's outcome
-    distributions from the uncut P(T, E).
+    below ZERO_FLOW is returned as exactly 0. Each v is cut in its run, a
+    root too, so a root's flow can differ at round-off from a CET tree's,
+    which reads a root's outcome distributions from the uncut P(T, E).
     """
     if var in branch or var in evidence_vars:
         raise ValueError(f"{var!r} is bound by the branch or among the evidence variables")
