@@ -27,7 +27,6 @@ from .infer import (
     brute_force_joint,
     explanation_tables,
     likelihood,
-    marginal,
     mutilate,
     prob,
     query,
@@ -43,7 +42,7 @@ from .relevance import (
     gbf_from_probs,
     strength_label,
 )
-from .search import ScoredExplanation, candidate_count, enumerate_explanations, mre, score_all
+from .search import ScoredExplanation, candidate_count, mre, score_all
 from .kmre import KmreResult, dominates, k_mre, minimal_set
 from .baselines import (
     BaselineParams,
@@ -81,7 +80,6 @@ __all__ = [
     "conditional_gbf",
     "d_separated",
     "dominates",
-    "enumerate_explanations",
     "expand_cpt",
     "explanation_tables",
     "explanation_tree",
@@ -95,7 +93,6 @@ __all__ = [
     "k_simp",
     "likelihood",
     "load_network",
-    "marginal",
     "minimal_set",
     "mre",
     "mutilate",

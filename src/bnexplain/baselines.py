@@ -103,11 +103,10 @@ def _k_map(tables: ExplanationTables, k: int) -> list[ScoredExplanation]:
 # K-SIMP
 
 def _likelihood(tables: ExplanationTables, x: Assignment) -> float:
-    """P(e | x) as P(x, e) / P(x), read from the tables."""
-    px = float(sum_to(tables.network, tables.prior, at=x))
-    if px <= 0.0:
-        raise ValueError(f"conditioning assignment {dict(x)} has probability 0")
-    return float(sum_to(tables.network, tables.joint, at=x)) / px
+    """P(e | x) as P(x, e) / P(x), read from the tables. K-SIMP asks only
+    about sub-assignments of a MAP row with P(x, e) > 0, so P(x) > 0."""
+    return (float(sum_to(tables.network, tables.joint, at=x))
+            / float(sum_to(tables.network, tables.prior, at=x)))
 
 
 def k_simp(network: Network, evidence: Assignment,
@@ -127,7 +126,7 @@ def k_simp(network: Network, evidence: Assignment,
     maps = [m for m in _k_map(tables, params.k) if m.value > 0.0]
     declared = {name: i for i, name in enumerate(network.names())}
 
-    results = []
+    results: dict = {}  # first likelihood of each distinct result, in MAP order
     for m in maps:
         cur = m.assignment()
         like = _likelihood(tables, cur)
@@ -144,16 +143,9 @@ def k_simp(network: Network, evidence: Assignment,
                 break
             cur = {u: s for u, s in cur.items() if u != best[1]}
             like = best[2]
-        results.append((tuple(sorted(cur.items())), like))
-
-    seen: dict = {}
-    order = []
-    for bindings, like in results:
-        if bindings not in seen:
-            seen[bindings] = like
-            order.append(bindings)
-    rows = [ScoredExplanation(bindings=b, kind="likelihood", value=seen[b], order=i)
-            for i, b in enumerate(order)]
+        results.setdefault(tuple(sorted(cur.items())), like)
+    rows = [ScoredExplanation(bindings=b, kind="likelihood", value=like, order=i)
+            for i, (b, like) in enumerate(results.items())]
     rows.sort(key=lambda r: (-_r(r.value), len(r.bindings)))
     return rows[:params.k]
 
@@ -303,10 +295,13 @@ def causal_flow(network: Network, var: str, evidence_vars: tuple[str, ...],
     below ZERO_FLOW is returned as exactly 0. Each v is cut in its run, a
     root too, so a root's flow can differ at round-off from a CET tree's,
     which reads a root's outcome distributions from the uncut P(T, E).
+    Evidence of probability 0 raises ImpossibleEvidenceError; an impossible
+    branch under possible evidence has flow 0.
     """
     if var in branch or var in evidence_vars:
         raise ValueError(f"{var!r} is bound by the branch or among the evidence variables")
     joint = query(network, (var, *branch), evidence)
+    infer._evidence_mass(joint, evidence)  # P(e): the sum of P(var, branch, e)
     evidence_vars = tuple(evidence_vars)
     return _flow(network, joint, lambda v: query(network, joint.scope + evidence_vars, _cut=(v,)),
                  evidence_vars, var, branch)

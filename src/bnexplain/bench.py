@@ -11,7 +11,7 @@ deltas.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .baselines import BaselineParams, k_map, k_simp
@@ -341,18 +341,7 @@ class ScenarioReport:
         return {
             "scenario": self.scenario_id,
             "passed": self.passed,
-            "rows": [
-                {
-                    "label": r.label,
-                    "expected": r.expected,
-                    "tol": r.tol,
-                    "computed": r.computed,
-                    "delta": r.delta,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def text(self) -> str:

@@ -97,8 +97,6 @@ def _row_doc(r: ScoredExplanation) -> dict:
 
 
 def _rows_text(rows: list[ScoredExplanation]) -> str:
-    if not rows:
-        return "(no explanations)"
     width = max(len(bench._fmt(r.bindings)) for r in rows)
     lines = []
     for i, r in enumerate(rows, 1):
@@ -136,7 +134,7 @@ def _cmd_explain(args) -> int:
     elif args.method == "kmre":
         res = k_mre(net, ev, k=args.k, gbf_floor=args.gbf_floor)
         rows = res.rows
-        if args.verbose and rows:
+        if args.verbose:
             cutoff = rows[-1].value
             reported = {r.bindings for r in rows}
             for cand in res.scored:
@@ -201,11 +199,9 @@ def _cmd_curve(args) -> int:
 
 def _cmd_validate(args) -> int:
     net = _load(args)
-    problems = validate(net)
+    problems = validate(net)  # parse_network has already refused a bad --network file
     if problems:
-        for p in problems:
-            print(f"problem: {p}", file=sys.stderr)
-        return 1
+        raise ValueError("; ".join(problems))
     print(f"ok: {len(net.variables)} variables, {len(net.cpts)} cpts, "
           f"{len(net.targets)} targets, {len(net.observations)} observations")
     return 0

@@ -17,6 +17,7 @@ over the evidence variables too (`evidence_joint_tables`). Nats throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
@@ -303,12 +304,10 @@ def evidence_joint_tables(network: Network, evidence: Assignment) -> Explanation
 
 
 def prob(network: Network, assignment: Assignment, evidence: Assignment | None = None) -> float:
-    """Exact P(assignment | evidence); prior probability when evidence is empty."""
-    assignment = dict(assignment)
+    """Exact P(assignment | evidence); prior probability when evidence is
+    empty, where P(evidence) is a query with nothing to read: exactly 1.0."""
     evidence = dict(evidence or {})
-    merged = _merge(assignment, evidence)
-    if not evidence:
-        return query(network, (), merged).item()
+    merged = _merge(dict(assignment), evidence)
     pe = query(network, (), evidence).item()
     if pe <= 0.0:
         raise ImpossibleEvidenceError(f"evidence {evidence} has probability 0")
@@ -325,15 +324,6 @@ def _merge(a: dict, b: dict) -> dict:
         if a.get(var, state) != state:
             raise ValueError(f"{var!r} bound to both {a[var]!r} and {state!r}")
     return {**a, **b}
-
-
-def marginal(network: Network, variables: tuple[str, ...], evidence: Assignment | None = None) -> Factor:
-    """Normalized posterior factor over `variables` given evidence."""
-    f = query(network, variables, evidence)
-    z = f.values.sum()
-    if z <= 0.0:
-        raise ImpossibleEvidenceError(f"evidence {dict(evidence or {})} has probability 0")
-    return Factor(f.scope, f.values / z)
 
 
 def mutilate(network: Network, variables: Iterable[str]) -> Network:
@@ -361,9 +351,7 @@ def mutilate(network: Network, variables: Iterable[str]) -> Network:
 
 def brute_force_joint(network: Network, cap: int = 2 ** 24) -> Factor:
     """Full joint over all variables (declared order) by chain-rule product."""
-    size = 1
-    for v in network.variables:
-        size *= len(v.states)
+    size = math.prod(len(v.states) for v in network.variables)
     if size > cap:
         raise ValueError(f"joint size {size} exceeds cap {cap}")
     out = Factor((), np.float64(1.0))

@@ -150,19 +150,14 @@ def k_mre(network: Network, evidence: Assignment, k: int = 3,
     scored = search.score_all(network, evidence)
     kept, witnesses = minimal_set(scored)
 
-    collapsed: list[ScoredExplanation] = []
-    for r in kept:
-        if collapsed:
-            p = collapsed[-1]
-            if (frozenset(r.variables) == frozenset(p.variables)
-                    and _close(r.value, p.value)):
-                continue
-        collapsed.append(r)
-
     rows: list[ScoredExplanation] = []
-    for i, r in enumerate(collapsed):
-        if i > 0 and _at_least(gbf_floor, r.value):
-            break
+    for r in kept:
+        if rows:
+            p = rows[-1]
+            if frozenset(r.variables) == frozenset(p.variables) and _close(r.value, p.value):
+                continue
+            if _at_least(gbf_floor, r.value):
+                break
         rows.append(r)
         if len(rows) == k:
             break

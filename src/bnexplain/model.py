@@ -8,6 +8,7 @@ parent varying fastest and child states innermost; everything downstream
 """
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -173,36 +174,11 @@ def validate(network: Network) -> list[str]:
     for cpt in network.cpts:
         problems.extend(_check_cpt(network, cpt, seen))
 
-    cycle = _find_cycle(network)
-    if cycle:
-        problems.append("cycle: " + " -> ".join(cycle))
+    try:
+        graphlib.TopologicalSorter({c.child: c.parents for c in network.cpts}).prepare()
+    except graphlib.CycleError as e:  # args[1] runs parent to child and repeats its start
+        problems.append("cycle: " + " -> ".join(e.args[1][:-1]))
     return problems
-
-
-def _find_cycle(network: Network) -> list[str] | None:
-    """The variables along one directed cycle (parent to child), if any."""
-    children: dict[str, list[str]] = {name: [] for name in network.names()}
-    for c in network.cpts:
-        children.setdefault(c.child, [])
-        for p in c.parents:
-            children.setdefault(p, []).append(c.child)
-    done: set[str] = set()
-    for root in children:
-        if root in done:
-            continue
-        path, stack = [root], [iter(children[root])]
-        while stack:
-            for v in stack[-1]:
-                if v in path:
-                    return path[path.index(v):]
-                if v not in done:
-                    path.append(v)
-                    stack.append(iter(children[v]))
-                    break
-            else:
-                stack.pop()
-                done.add(path.pop())
-    return None
 
 
 def _check_cpt(network, cpt, known) -> list[str]:
@@ -297,7 +273,7 @@ def expand_cpt(network: Network, cpt: Cpt) -> np.ndarray:
             states = network.states(p)
             factor = [1.0] * len(states)
             t = by_parent.get(p)
-            if t is not None and t.activating_state in states:
+            if t is not None:
                 factor[states.index(t.activating_state)] = 1.0 - t.p
             q = np.multiply.outer(q, factor)
         effect = child_states.index(cpt.effect_state)

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import infer, relevance
 from .model import Assignment, Network
@@ -33,30 +33,9 @@ class ScoredExplanation:
         return dict(self.bindings)
 
 
-def _subsets(targets) -> Iterator[tuple[str, ...]]:
-    for size in range(1, len(targets) + 1):
-        yield from itertools.combinations(targets, size)
-
-
-def enumerate_explanations(network: Network) -> Iterator[Bindings]:
-    """Every nonempty partial instantiation of the targets, exactly once.
-
-    Order: subset size ascending, subsets lexicographic by variable name,
-    then the state product with the rightmost variable fastest.
-    """
-    targets = sorted(network.targets)
-    if not targets:
-        raise ValueError("network has no target variables")
-    for combo in _subsets(targets):
-        for states in itertools.product(*(network.states(v) for v in combo)):
-            yield tuple(zip(combo, states))
-
-
 def candidate_count(network: Network) -> int:
-    n = 1
-    for v in network.targets:
-        n *= network.card(v) + 1
-    return n - 1
+    """The size of the explanation lattice: Π(card + 1) − 1 over the targets."""
+    return math.prod(network.card(v) + 1 for v in network.targets) - 1
 
 
 def _check_k(k) -> None:
@@ -72,14 +51,19 @@ def _rank(row: ScoredExplanation):
 def score_all(network: Network, evidence: Assignment) -> list[ScoredExplanation]:
     """GBF-score every candidate, sorted descending. Always exhaustive.
 
-    Candidates are the partial instantiations of the unobserved targets, in
-    `enumerate_explanations` order. Each variable subset's priors and
-    posteriors are one marginal of P(T) and of P(T, e), flattened in C
-    order, which is that enumeration order.
+    Candidates are the nonempty partial instantiations of the unobserved
+    targets, each once, numbered by `order` in enumeration order: subset
+    size ascending, subsets lexicographic by variable name, then the state
+    product with the rightmost variable fastest. Each variable subset's
+    priors and posteriors are one marginal of P(T) and of P(T, e), flattened
+    in C order, which is that state order.
     """
     tables = infer.explanation_tables(network, evidence)
+    targets = sorted(tables.targets)
+    combos = itertools.chain.from_iterable(
+        itertools.combinations(targets, size) for size in range(1, len(targets) + 1))
     rows = []
-    for combo in _subsets(sorted(tables.targets)):
+    for combo in combos:
         priors = infer.sum_to(network, tables.prior, combo).ravel().tolist()
         posteriors = (infer.sum_to(network, tables.joint, combo) / tables.pe).ravel().tolist()
         states = itertools.product(*(network.states(v) for v in combo))

@@ -436,6 +436,19 @@ def test_causal_flow_zero_without_directed_path(nets):
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
+def test_causal_flow_impossible_evidence(nets):
+    # Input is always current, as for every other method
+    with pytest.raises(ImpossibleEvidenceError):
+        causal_flow(nets["circuit"], "A", ("TotalOutput",), {}, {"Input": "noCurr"})
+
+
+def test_causal_flow_zero_on_an_impossible_branch(nets):
+    # with A and B ok no gate passes current, so P(branch, e) = 0 while P(e) > 0
+    net, branch = nets["circuit"], {"A": "ok", "B": "ok"}
+    assert prob(net, branch, CIRCUIT_E) == 0.0
+    assert causal_flow(net, "C", ("Input", "TotalOutput"), branch, CIRCUIT_E) == 0.0
+
+
 def test_cet_impossible_evidence(nets):
     with pytest.raises(ImpossibleEvidenceError):
         causal_explanation_tree(nets["circuit"], {"Input": "noCurr"})

@@ -54,6 +54,33 @@ def test_failure_is_report_content_not_exception(monkeypatch):
     assert any(not r.passed for r in report.rows)
     assert "FAIL" in report.text()
 
+    # rows that cannot be compared, on the real circuit2: K-MRE returns
+    # (OK3=abnormal) 4.0 and (OK1=abnormal, OK2=abnormal) 2.0
+    monkeypatch.undo()
+    E = bench.Expected
+    probe = bench.Scenario("probe", "circuit2", (("E", "low"),), (
+        E("gbf", 1.0, bindings=(("OK1", "broken"),)),
+        E("kmre", 1.0, rank=2),
+        E("kmre", 4.0, 1e-9, bindings=(("OK1", "abnormal"),), rank=0),
+        E("kmre", 2.0, 1e-9, bindings=(("OK1", "abnormal"),), rank=1),
+    ))
+    monkeypatch.setitem(bench.SCENARIOS, "probe", probe)
+    report = bench.run_scenario("probe")
+    assert [r.detail for r in report.rows] == [
+        "candidate not found",
+        "only 2 rows returned",
+        "got (OK3=abnormal), want (OK1=abnormal)",
+        "got (OK1=abnormal, OK2=abnormal), want (OK1=abnormal)",
+    ]
+    assert not any(r.passed for r in report.rows)
+    assert [r.computed for r in report.rows] == [None, None, pytest.approx(4.0), pytest.approx(2.0)]
+    assert "got          -  [candidate not found]" in report.text()
+
+    unknown = bench.Scenario("unknown", "circuit2", (("E", "low"),), (E("mystery", 0.0),))
+    monkeypatch.setitem(bench.SCENARIOS, "unknown", unknown)
+    with pytest.raises(ValueError, match="unknown expectation kind 'mystery'"):
+        bench.run_scenario("unknown")
+
 
 def test_fixtures_are_valid_networks(nets):
     for fid, net in nets.items():

@@ -6,7 +6,7 @@ import pytest
 
 from bnexplain import bench
 from bnexplain.cli import main
-from bnexplain.model import parse_network, serialize_network
+from bnexplain.model import Network, TableCpt, Variable, parse_network, serialize_network
 from test_baselines import copied_target
 
 
@@ -351,6 +351,19 @@ def test_validate_broken_network(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--network", str(path))
     assert code == 1
     assert "sum" in err
+
+
+def test_validate_reports_every_problem_on_one_error_line(capsys, monkeypatch):
+    # fixtures are built in code, not parsed, so validate checks them itself
+    broken = Network(
+        (Variable("A", ("a", "b")), Variable("B", ("a", "b"))),
+        (TableCpt(child="A", parents=("B",), rows=(1.0, 0.0, 0.0, 1.0)),
+         TableCpt(child="B", parents=("A",), rows=(0.7, 0.7, 0.0, 1.0))),
+    )
+    monkeypatch.setattr(bench, "fixture", lambda fid: broken)
+    code, out, err = run(capsys, "validate", "--fixture", "asia")
+    assert (code, out) == (1, "")
+    assert err == "error: CPT of B: row 0 sum 1.4 != 1; cycle: A -> B\n"
 
 
 def test_show_table(capsys):

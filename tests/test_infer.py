@@ -17,7 +17,6 @@ from bnexplain.infer import (
     brute_force_joint,
     explanation_tables,
     likelihood,
-    marginal,
     mutilate,
     prob,
     query,
@@ -48,10 +47,10 @@ def test_posterior_marginals_match_oracle(nets, joints, scenarios):
         for name in net.names():
             if name in evidence:
                 continue
-            f = marginal(net, (name,), evidence)
-            for i, state in enumerate(net.states(name)):
+            for state in net.states(name):
                 enum = oracle.prob(net, joints[fid], {name: state}, evidence)
-                assert f.values[i] == pytest.approx(enum, abs=1e-9), (sid, name, state)
+                got = prob(net, {name: state}, evidence)
+                assert got == pytest.approx(enum, abs=1e-9), (sid, name, state)
 
 
 def test_joint_assignments_match_oracle(nets, joints):
@@ -102,7 +101,7 @@ def test_marginal_from_joint_equals_elimination(nets):
     idx = net.names().index("TotalOutput")
     axes = tuple(i for i in range(len(net.names())) if i != idx)
     from_joint = brute_force_joint(net).values.sum(axis=axes)
-    ve = marginal(net, ("TotalOutput",)).values
+    ve = query(net, ("TotalOutput",)).values
     assert ve == pytest.approx(from_joint, abs=1e-9)
 
 
@@ -250,8 +249,6 @@ def test_bayes_consistency(nets, scenarios):
 def test_impossible_evidence_raises(nets):
     with pytest.raises(ImpossibleEvidenceError):
         prob(nets["circuit"], {"B": "defective"}, {"Input": "noCurr"})
-    with pytest.raises(ImpossibleEvidenceError):
-        marginal(nets["circuit"], ("B",), {"Input": "noCurr"})
 
 
 def test_probabilities_in_unit_interval(nets, scenarios):
@@ -260,7 +257,7 @@ def test_probabilities_in_unit_interval(nets, scenarios):
         for name in net.names():
             if name in evidence:
                 continue
-            vals = marginal(net, (name,), evidence).values
+            vals = np.array([prob(net, {name: s}, evidence) for s in net.states(name)])
             assert (vals >= 0.0).all() and (vals <= 1.0 + 1e-12).all(), (sid, name)
 
 
@@ -424,6 +421,10 @@ def test_table_mutual_information_matches_oracle(nets, joints):
             got = _mi(net, "Theory", (y,), context)
             want = oracle.mutual_information(net, joints["academe"], "Theory", y, context)
             assert got == pytest.approx(want, abs=1e-9), (y, context)
+
+
+def test_table_mutual_information_of_an_all_zero_table_is_zero():
+    assert table_mutual_information(np.zeros((2, 3))) == 0.0
 
 
 def test_table_mutual_information_of_a_pair_of_others(nets, joints):

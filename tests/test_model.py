@@ -195,6 +195,19 @@ def test_noisy_or_leak_floor():
     assert _expanded_row(net, "X", ("on",))[0] == pytest.approx(1 - 0.9 * 0.2, abs=1e-15)
 
 
+def test_noisy_or_expansion_refuses_an_unknown_activating_state():
+    # validate refuses this network; lowering it anyway raises, not drops the trigger
+    net = _net(
+        (_v("P", states=("on", "off")), TableCpt(child="P", parents=(), rows=(0.5, 0.5))),
+        (_v("X", states=("yes", "no")),
+         NoisyOrCpt(child="X", parents=("P",), effect_state="yes",
+                    triggers=(NoisyOrTrigger("P", "sparks", 0.8),))),
+    )
+    assert validate(net) == ["CPT of X: bad activating state for 'P'"]
+    with pytest.raises(ValueError):
+        expand_cpt(net, net.cpt("X"))
+
+
 def test_deterministic_expansion_point_mass(nets):
     net = nets["asia"]
     assert _expanded_row(net, "TbOrCa", ("yes", "no")) == (1.0, 0.0)
@@ -342,6 +355,41 @@ def _on(fid, i, edit):
      "cpts[5].exceptions[0].then must be a string"),
 ])
 def test_parse_rejects_mistyped_fields(nets, mutate, message):
+    doc = json.loads(serialize_network(nets["vacation1"]))
+    mutate(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["variables"][0].update(states=["healthy", "healthy"]),
+     "Healthy: duplicate state names"),
+    (lambda d: d["cpts"].append(dict(d["cpts"][0])), "multiple CPTs for one variable"),
+    (lambda d: d["cpts"][1].update(parents=["Healthy", "Healthy"]),
+     "CPT of Location: bad parent list"),
+    (_on("circuit", 9, lambda c: c.update(effect_state="sparks")),
+     "CPT of TotalOutput: effect state 'sparks' unknown"),
+    (_on("circuit", 9, lambda c: c.update(leak=1.5)),
+     "CPT of TotalOutput: leak 1.5 outside [0,1]"),
+    (_on("circuit", 9, lambda c: c["triggers"][0].update(parent="Input")),
+     "CPT of TotalOutput: trigger on non-parent 'Input'"),
+    (_on("circuit", 9, lambda c: c["triggers"][1].update(parent="OutA")),
+     "CPT of TotalOutput: two triggers on 'OutA'"),
+    (_on("circuit", 9, lambda c: c["triggers"][0].update(activating_state="sparks")),
+     "CPT of TotalOutput: bad activating state for 'OutA'"),
+    (_on("circuit", 9, lambda c: c["triggers"][2].update(p=-0.1)),
+     "CPT of TotalOutput: trigger p -0.1 outside [0,1]"),
+    (_on("asia", 5, lambda c: c.update(default_state="maybe")),
+     "CPT of TbOrCa: default state 'maybe' unknown"),
+    (_on("asia", 5, lambda c: c["exceptions"][0]["when"].update(LungCancer="maybe")),
+     "CPT of TbOrCa: exception state 'maybe' not a state of 'LungCancer'"),
+    (_on("asia", 5, lambda c: c["exceptions"][0].update(then="maybe")),
+     "CPT of TbOrCa: exception child state 'maybe' unknown"),
+    (_on("asia", 5, lambda c: c["exceptions"].append(dict(c["exceptions"][0]))),
+     "CPT of TbOrCa: parent configuration ('no', 'no') covered twice"),
+])
+def test_parse_refuses_invalid_networks(nets, mutate, message):
+    # each document is well typed, so validate's message is the one raised
     doc = json.loads(serialize_network(nets["vacation1"]))
     mutate(doc)
     with pytest.raises(ValueError, match=re.escape(message)):

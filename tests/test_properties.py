@@ -13,11 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bnexplain.infer import brute_force_joint, marginal, query
+from bnexplain.infer import brute_force_joint, query
 from bnexplain.kmre import REL_TOL, dominates, minimal_set
 from bnexplain.model import Network, TableCpt, Variable, d_separated
 from bnexplain.relevance import gbf, gbf_from_probs
-from bnexplain.search import ScoredExplanation, enumerate_explanations, score_all
+from bnexplain.search import ScoredExplanation, score_all
 
 import oracle
 
@@ -111,7 +111,8 @@ def test_gbf_forms_agree_on_all_fixture_candidates(nets, scenarios):
         net = nets[fid]
         values = brute_force_joint(net).values
         pe = _mass(net, values, evidence)
-        for bindings in enumerate_explanations(net):
+        for row in score_all(net, evidence):  # every candidate: no target is observed
+            bindings = row.bindings
             x = dict(bindings)
             px = _mass(net, values, x)
             pxe = _mass(net, values, {**x, **evidence})
@@ -326,7 +327,7 @@ def test_elimination_matches_brute_force_on_random_networks():
         values = brute_force_joint(net).values
         assert values.sum() == pytest.approx(1.0, abs=1e-9)
         for v in net.names():
-            got = marginal(net, (v,)).values
+            got = query(net, (v,)).values
             for i, s in enumerate(net.states(v)):
                 assert got[i] == pytest.approx(_mass(net, values, {v: s}), abs=1e-9)
         first, last = net.names()[0], net.names()[-1]

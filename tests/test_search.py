@@ -6,7 +6,6 @@ from bnexplain.model import Network, TableCpt, Variable
 from bnexplain.search import (
     ScoredExplanation,
     candidate_count,
-    enumerate_explanations,
     mre,
     score_all,
 )
@@ -21,17 +20,18 @@ EXPECTED_COUNTS = {
 }
 
 
-def test_candidate_counts(nets):
+def test_candidate_counts(nets, scenarios):
     for fid, want in EXPECTED_COUNTS.items():
-        net = nets[fid]
-        assert candidate_count(net) == want, fid
-        listed = list(enumerate_explanations(net))
-        assert len(listed) == want, fid
-        assert len(set(listed)) == want, fid
+        assert candidate_count(nets[fid]) == want, fid
+    for sid, fid, evidence in scenarios:  # no scenario observes a target
+        rows = score_all(nets[fid], evidence)
+        assert sorted(r.order for r in rows) == list(range(EXPECTED_COUNTS[fid])), sid
+        assert len({r.bindings for r in rows}) == EXPECTED_COUNTS[fid], sid
 
 
 def test_enumeration_order(nets):
-    listed = list(enumerate_explanations(nets["vacation1"]))
+    rows = sorted(score_all(nets["vacation1"], {"Alive": "alive"}), key=lambda r: r.order)
+    listed = [r.bindings for r in rows]
     assert listed[:4] == [
         (("Healthy", "healthy"),),
         (("Healthy", "unhealthy"),),
@@ -50,7 +50,7 @@ def test_enumeration_requires_targets():
         cpts=(TableCpt(child="X", parents=(), rows=(0.5, 0.5)),),
     )
     with pytest.raises(ValueError, match="target"):
-        list(enumerate_explanations(net))
+        score_all(net, {"X": "a"})
 
 
 def test_scores_match_oracle(nets, joints, scenarios):
