@@ -62,7 +62,7 @@ def _unused() -> list[str]:
     return unused
 
 
-def test_the_scan_sees_each_kind_of_user():
+def test_the_scan_finds_functions_and_their_uses():
     functions = _public_functions()
     assert {"search.candidate_count", "kmre.dominates", "cli.main"} <= set(functions)
     assert "mre" in _referred_names()  # cli calls it; __init__ only re-exports
